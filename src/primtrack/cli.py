@@ -453,10 +453,12 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     s = cfg["simulator"]
     p = cfg.sim_params()
+    spacing = s["min_spacing"] if s["min_spacing"] > 0 else None
     arena = make_forest_arena(1000 + seed, intensity=s["intensity"],
                               area=(s["area_width"], s["area_depth"]),
                               clear_points=[(0.0, 0.0),
                                             (s["goal_distance"], 0.0)],
+                              min_spacing=spacing,
                               resolution=s["resolution"],
                               trunk_height=s["trunk_height"])
     log_path = out / "bench_episode.csv"
@@ -464,7 +466,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path) -> int:
                                goal_distance=s["goal_distance"],
                                log_path=log_path)
     print(f"planning cycles: full lattice refinement, candidate selection, "
-          f"trajectory solve")
+          f"trajectory solve, executed-clearance check")
     print(f"mean latency {m.mean_latency_ms:.3f} ms (budget 10 ms); "
           f"episode success={m.success}")
     print("informational reference: deployed-network planners report ~3 ms "

@@ -75,7 +75,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "lost_timeout": (3.0, "target-lost failure timeout, seconds *"),
         "acquire_timeout": (1.5, "initial acquisition timeout, seconds *"),
         "max_time": (60.0, "episode wall clock cap, seconds *"),
-        "refine_steps": (30, "refiner descent steps"),
+        "refine_steps": (8, "refiner L-BFGS iterations"),
         "collision_weight": (3.0, "closed-loop collision weight override *"),
         "intensity": (1.0 / 16.0, "forest density, trunks per square meter"),
         "area_width": (16.0, "forest width, meters *"),

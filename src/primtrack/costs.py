@@ -451,6 +451,52 @@ class CostEngine:
                 total, J_s, J_c, J_g, grad_raw)
             parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
             return total, parts, grad_raw if with_grad else None
+        y, geo, parts, terms = self._terms(raw, anchor_th, anchor_ph,
+                                           anchor_rr, with_grad)
+        w = self.weights
+        total = w.lambda_s * parts["J_s"] + w.lambda_c * parts["J_c"] \
+            + w.lambda_g * parts["J_g"]
+        if not with_grad:
+            return total, parts, None
+        g_s, g_c, g_g = terms
+        grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
+        grad_dP[:, :, 0] += w.lambda_g * g_g
+        # chain rule through the world placement, spherical decode, and tanh
+        ct, st, cp, sp, rr = geo
+        R = self.rotation
+        gp = grad_dP[:, :, 0] @ R  # world -> camera
+        g_th = rr * (ct * gp[:, 2] - st * (cp * gp[:, 0] + sp * gp[:, 1]))
+        g_ph = rr * ct * (cp * gp[:, 1] - sp * gp[:, 0])
+        g_r = ct * (cp * gp[:, 0] + sp * gp[:, 1]) + st * gp[:, 2]
+        sech2 = 1.0 - y * y
+        grad_raw = np.empty((n, 9))
+        grad_raw[:, 0] = g_th * sech2[:, 0] * self.cfg.d_theta
+        grad_raw[:, 1] = g_ph * sech2[:, 1] * self.cfg.d_phi
+        grad_raw[:, 2] = g_r * sech2[:, 2] * anchor_rr
+        grad_raw[:, 3:6] = (grad_dP[:, :, 1] @ R) \
+            * sech2[:, 3:6] * self._vel_scale
+        grad_raw[:, 6:9] = (grad_dP[:, :, 2] @ R) \
+            * sech2[:, 6:9] * self._acc_scale
+        return total, parts, grad_raw
+
+    def evaluate_terms(self, raw: np.ndarray):
+        """Unweighted cost terms and their end-state gradients, all anchors.
+
+        Returns (parts, (g_s, g_c, g_goal)): parts as in evaluate; g_s and
+        g_c of shape (N, 3, 3) are the gradients of J_s and J_c w.r.t. the
+        end state d_P (g_c is zero without a field), and g_goal (N, 3) that
+        of J_g w.r.t. the end position. One field query serves all terms;
+        the composable smoothness/collision/goal functions give the same.
+        """
+        raw = np.atleast_2d(np.asarray(raw, float))
+        _, _, parts, terms = self._terms(raw, self.thetas, self.phis,
+                                         self.radii, True)
+        return parts, terms
+
+    def _terms(self, raw, anchor_th, anchor_ph, anchor_rr, with_grad):
+        """Decode and score raw rows: (tanh(raw), decode geometry, parts,
+        unweighted end-state gradients (g_s, g_c, g_goal) or None)."""
+        n = len(raw)
         y = np.tanh(raw)
         th = anchor_th + y[:, 0] * self.cfg.d_theta
         ph = anchor_ph + y[:, 1] * self.cfg.d_phi
@@ -485,29 +531,14 @@ class CostEngine:
             J_c = np.zeros(n)
         diff = d[:, :, 3] - self.goal_p
         J_g = np.einsum("na,na->n", diff, diff)
-        w = self.weights
-        total = w.lambda_s * J_s + w.lambda_c * J_c + w.lambda_g * J_g
         parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
+        geo = (ct, st, cp, sp, rr)
         if not with_grad:
-            return total, parts, None
-        grad_dP = (2.0 * w.lambda_s) * dB[:, :, 3:]
+            return y, geo, parts, None
+        g_s = 2.0 * dB[:, :, 3:]
         if self.grid is not None:
-            dcdx = (-w.lambda_c * pot.dt / pot.falloff) \
-                * c[..., None] * grad_d  # (n, K, 3)
-            grad_dP += dcdx.swapaxes(1, 2) @ self._P
-        grad_dP[:, :, 0] += (2.0 * w.lambda_g) * diff
-        # chain rule through the world placement, spherical decode, and tanh
-        gp = grad_dP[:, :, 0] @ R  # world -> camera
-        g_th = rr * (ct * gp[:, 2] - st * (cp * gp[:, 0] + sp * gp[:, 1]))
-        g_ph = rr * ct * (cp * gp[:, 1] - sp * gp[:, 0])
-        g_r = ct * (cp * gp[:, 0] + sp * gp[:, 1]) + st * gp[:, 2]
-        sech2 = 1.0 - y * y
-        grad_raw = np.empty((n, 9))
-        grad_raw[:, 0] = g_th * sech2[:, 0] * self.cfg.d_theta
-        grad_raw[:, 1] = g_ph * sech2[:, 1] * self.cfg.d_phi
-        grad_raw[:, 2] = g_r * sech2[:, 2] * anchor_rr
-        grad_raw[:, 3:6] = (grad_dP[:, :, 1] @ R) \
-            * sech2[:, 3:6] * self._vel_scale
-        grad_raw[:, 6:9] = (grad_dP[:, :, 2] @ R) \
-            * sech2[:, 6:9] * self._acc_scale
-        return total, parts, grad_raw
+            dcdx = (-pot.dt / pot.falloff) * c[..., None] * grad_d  # (n, K, 3)
+            g_c = dcdx.swapaxes(1, 2) @ self._P
+        else:
+            g_c = np.zeros_like(g_s)
+        return y, geo, parts, (g_s, g_c, 2.0 * diff)

@@ -256,13 +256,20 @@ def build_esdf(cloud: PointCloud, origin, dims, resolution: float,
     origin = np.asarray(origin, float)
     if len(cloud) == 0:
         return EsdfGrid(origin, resolution, np.full(dims, d_trunc), d_trunc)
-    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
-    centers = origin + (np.stack([ii, jj, kk], axis=-1) + 0.5) * resolution
-    tree = cKDTree(cloud.points)
+    # voxel centres origin + (i + 0.5) * resolution, written axis by axis
+    # into one array so that no index-grid temporaries are allocated
+    centers = np.empty((*dims, 3))
+    centers[..., 0] = ((np.arange(dims[0]) + 0.5) * resolution
+                       + origin[0])[:, None, None]
+    centers[..., 1] = ((np.arange(dims[1]) + 0.5) * resolution
+                       + origin[1])[None, :, None]
+    centers[..., 2] = (np.arange(dims[2]) + 0.5) * resolution + origin[2]
+    # an unbalanced, non-compacted tree builds faster and answers the same
+    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
     dist, _ = tree.query(centers.reshape(-1, 3), workers=-1,
                          distance_upper_bound=d_trunc)
-    dist = np.minimum(dist, d_trunc).reshape(dims)
-    return EsdfGrid(origin, resolution, dist, d_trunc)
+    np.minimum(dist, d_trunc, out=dist)
+    return EsdfGrid(origin, resolution, dist.reshape(dims), d_trunc)
 
 
 def raycast(grid: EsdfGrid, p0, p1, occupancy_threshold: float) -> bool:
@@ -276,7 +283,7 @@ def raycast(grid: EsdfGrid, p0, p1, occupancy_threshold: float) -> bool:
     n = max(2, int(np.ceil(length / (grid.resolution / 2))) + 1)
     s = np.linspace(0.0, 1.0, n)[:, None]
     pts = p0 + s * (p1 - p0)
-    dist, _, _ = grid.query(pts)
+    dist, _, _ = grid.query(pts, with_grad=False)
     return bool(np.all(dist > occupancy_threshold))
 
 

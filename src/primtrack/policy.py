@@ -2,7 +2,7 @@
 
 Two interchangeable backends produce per-anchor 14-dimensional predictions:
 
-* a per-frame gradient-descent refiner that optimizes the raw trajectory
+* a per-frame L-BFGS refiner that optimizes the raw trajectory
   variables directly against the cost engine (the classical path), and
 * a small shared-weight head over privileged per-frustum depth features,
   trained by back-propagating the trajectory-cost gradients plus the
@@ -51,60 +51,123 @@ def _sigmoid(x):
 
 # -- refiner backend ---------------------------------------------------------
 
-def refine(engine: CostEngine, steps: int = 30, step_size: float = 0.1,
-           armijo: float = 1e-4, max_backtracks: int = 8,
+# trial step lengths along the search direction, scored in one batch
+_TRIALS = np.array([1.0, 0.3, 0.1, 0.01])
+_MEMORY = 5  # curvature pairs kept per candidate
+_FIRST_STEP = 0.05  # longest step, in raw units, along a scaled gradient
+_CURVATURE_EPS = 1e-12  # pairs with s.y at or below this are not stored
+
+
+def _two_loop(grad, S, Y, rho):
+    """Batched L-BFGS direction -H g from each row's stored pairs.
+
+    S and Y are (m, memory, 9) with the newest pair last; empty slots have
+    rho = 0 and act as no-ops. Rows with no pair must be handled by the
+    caller (their scale gamma is undefined here).
+    """
+    q = grad.copy()
+    alphas = np.zeros(rho.shape)
+    for i in range(rho.shape[1] - 1, -1, -1):
+        alphas[:, i] = rho[:, i] * np.einsum("nk,nk->n", S[:, i], q)
+        q -= alphas[:, i, None] * Y[:, i]
+    s, y = S[:, -1], Y[:, -1]
+    gamma = np.einsum("nk,nk->n", s, y) / np.einsum("nk,nk->n", y, y)
+    r = gamma[:, None] * q
+    for i in range(rho.shape[1]):
+        beta = rho[:, i] * np.einsum("nk,nk->n", Y[:, i], r)
+        r += (alphas[:, i] - beta)[:, None] * S[:, i]
+    return -r
+
+
+def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
+           armijo: float = 1e-4, max_backtracks: int = 4,
            raw0: np.ndarray | None = None, grad_tol: float = 1e-5,
            ftol: float = 1e-7):
-    """Per-anchor gradient descent on the raw trajectory variables.
+    """Per-anchor L-BFGS on the raw trajectory variables.
 
-    The engine must have anchors set. A backtracking line search keeps every
-    candidate's cost non-increasing; candidates whose gradient norm falls
-    below grad_tol, whose per-step improvement falls below ftol, or whose
-    line search stalls, drop out of the remaining iterations. Returns
-    (raw, total, parts) with raw of shape (N, 9); candidates whose cost is
-    NaN are flagged infeasible by a NaN total.
+    The engine must have anchors set. Every candidate keeps its own curvature
+    memory (Nocedal & Wright, Numerical Optimization, ch. 7); the iterations
+    are batched across candidates. Each iteration scores the first
+    max_backtracks of the trial steps (1, 0.3, 0.1, 0.01) along the search
+    direction in one gradient-free evaluation, takes the first trial that
+    passes the Armijo test, and evaluates the gradient at the accepted rows
+    only. A candidate with no curvature pair steps along its gradient scaled
+    by min(step_size, 0.05 / |g|). A failed search clears the memory, so the
+    next iteration retries from the scaled gradient; a failed search from
+    the scaled gradient drops the candidate. Candidates whose gradient norm
+    falls below grad_tol or whose per-step improvement falls below ftol drop
+    out too. No candidate's cost ever rises. Returns (raw, total, parts) with
+    raw of shape (N, 9); candidates whose cost is NaN are flagged infeasible
+    by a NaN total.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 1 <= max_backtracks <= len(_TRIALS):
+        raise ValueError(f"max_backtracks must be in 1..{len(_TRIALS)}")
+    trials = _TRIALS[:max_backtracks]
     n = len(engine.thetas)
     raw = np.zeros((n, 9)) if raw0 is None else np.array(raw0, float)
-    total, _, grad = engine.evaluate(raw)
+    total, parts, grad = engine.evaluate(raw)
     gnorm2 = np.sum(grad * grad, axis=1)
     active = np.isfinite(total) & (gnorm2 > grad_tol ** 2)
-    step_mem = np.full(n, step_size)
-    halvings = 0.5 ** np.arange(max_backtracks)
+    S = np.zeros((n, _MEMORY, 9))
+    Y = np.zeros((n, _MEMORY, 9))
+    rho = np.zeros((n, _MEMORY))
     for _ in range(steps):
         if not active.any():
             break
-        idx = np.where(active)[0]
+        idx = np.flatnonzero(active)
         m = len(idx)
-        # all line-search trials of every active candidate in one batch
-        trials = step_mem[idx, None] * halvings  # (m, B)
-        cand = raw[idx, None, :] - trials[:, :, None] * grad[idx, None, :]
-        idx_rep = np.repeat(idx, max_backtracks)
+        g = grad[idx]
+        scaled = -g * np.minimum(
+            step_size, _FIRST_STEP / np.sqrt(gnorm2[idx]))[:, None]
+        direction = scaled.copy()
+        has_mem = rho[idx, -1] > 0
+        if has_mem.any():
+            h = idx[has_mem]
+            direction[has_mem] = _two_loop(grad[h], S[h], Y[h], rho[h])
+            # a direction that does not descend falls back to the gradient
+            uphill = has_mem & ~(np.einsum("nk,nk->n", g, direction) < 0)
+            direction[uphill] = scaled[uphill]
+            has_mem &= ~uphill
+        slope = np.einsum("nk,nk->n", g, direction)
+        cand = raw[idx, None, :] + trials[None, :, None] * direction[:, None, :]
         f, _, _ = engine.evaluate(cand.reshape(-1, 9), with_grad=False,
-                                  idx=idx_rep)
-        f = f.reshape(m, max_backtracks)
+                                  idx=np.repeat(idx, len(trials)))
+        f = f.reshape(m, len(trials))
         ok = np.isfinite(f) & \
-            (f <= total[idx, None] - armijo * trials * gnorm2[idx, None])
+            (f <= total[idx, None] + armijo * trials * slope[:, None])
         any_ok = ok.any(axis=1)
-        first = np.argmax(ok, axis=1)
+        # a failed search clears the memory (rho = 0 empties a slot), so the
+        # next iteration retries from the scaled gradient; give up if that
+        # search failed too
+        rho[idx[~any_ok]] = 0.0
+        active[idx[~any_ok & ~has_mem]] = False
         moved = idx[any_ok]
-        if len(moved):
-            pick = first[any_ok]
-            raw[moved] = cand[any_ok, pick]
-            # re-expand the accepted step a little for the next iteration
-            step_mem[moved] = np.minimum(
-                trials[any_ok, pick] * 2.0, step_size)
-            tot2, _, grad2 = engine.evaluate(raw[moved], idx=moved)
-            improvement = total[moved] - tot2
-            total[moved] = tot2
-            grad[moved] = grad2
-            gnorm2[moved] = np.sum(grad2 * grad2, axis=1)
-            active[moved[improvement < ftol]] = False
-        active[idx[~any_ok]] = False
+        if len(moved) == 0:
+            continue
+        new_raw = cand[any_ok, np.argmax(ok[any_ok], axis=1)]
+        tot2, parts2, grad2 = engine.evaluate(new_raw, idx=moved)
+        s = new_raw - raw[moved]
+        y = grad2 - grad[moved]
+        sy = np.einsum("nk,nk->n", s, y)
+        keep = sy > _CURVATURE_EPS
+        upd = moved[keep]
+        S[upd] = np.roll(S[upd], -1, axis=1)
+        Y[upd] = np.roll(Y[upd], -1, axis=1)
+        rho[upd] = np.roll(rho[upd], -1, axis=1)
+        S[upd, -1] = s[keep]
+        Y[upd, -1] = y[keep]
+        rho[upd, -1] = 1.0 / sy[keep]
+        improvement = total[moved] - tot2
+        raw[moved] = new_raw
+        total[moved] = tot2
+        for k in parts:
+            parts[k][moved] = parts2[k]
+        grad[moved] = grad2
+        gnorm2[moved] = np.sum(grad2 * grad2, axis=1)
+        active[moved[improvement < ftol]] = False
         active &= gnorm2 > grad_tol ** 2
-    total, parts, _ = engine.evaluate(raw, with_grad=False)
     return raw, total, parts
 
 
@@ -161,20 +224,20 @@ def compute_features(grid: EsdfGrid | None, cam: CameraModel,
     pitch_p = cfg.fov_h / cfg.m_phi
     pitch_t = cfg.fov_v / cfg.m_theta
     offs = (np.arange(rays_per_axis) - (rays_per_axis - 1) / 2) / rays_per_axis
-    dirs = []
-    for a in anchors:
-        for ot in offs:
-            for op in offs:
-                dirs.append(spherical_endpoint(a.theta + ot * pitch_t,
-                                               a.phi + op * pitch_p, 1.0))
-    dirs_world = np.asarray(dirs) @ cam.rotation.T  # (n_cells*B, 3)
+    # ray bundle per anchor, ordered (anchor, polar offset, azimuth offset)
+    th = np.array([a.theta for a in anchors])[:, None, None] \
+        + (offs * pitch_t)[None, :, None]
+    ph = np.array([a.phi for a in anchors])[:, None, None] \
+        + (offs * pitch_p)[None, None, :]
+    dirs = spherical_endpoint(th, ph, 1.0).reshape(-1, 3)
+    dirs_world = dirs @ cam.rotation.T  # (n_cells*B, 3)
     n_bundle = rays_per_axis ** 2
     step = (grid.resolution / 2) if grid is not None else 0.1
     n_s = max(2, int(np.ceil(cfg.r / step)) + 1)
     s = np.linspace(0.0, cfg.r, n_s)
     if grid is not None:
         pts = cam.position + dirs_world[:, None, :] * s[None, :, None]
-        dist, _, _ = grid.query(pts)
+        dist, _, _ = grid.query(pts, with_grad=False)
         hit = dist < occupancy_threshold
         first = np.where(hit.any(axis=1), s[np.argmax(hit, axis=1)], cfg.r)
     else:
@@ -470,23 +533,15 @@ def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
     """Total per-frame loss and its gradient w.r.t. the raw outputs y (n, 14).
 
     Trajectory-cost gradients flow through the analytic chain rule; the
-    supervision target for the predicted cost is treated as a constant.
+    supervision target for the predicted cost is treated as a constant. The
+    cost terms and their end-state gradients come from one field query.
     """
     w = engine.weights
     n = cfg.n_cells
     y = np.asarray(y, float)
     raw = y[:, :9]
-    _, parts, _ = engine.evaluate(raw, with_grad=False)
+    parts, (g_s, g_c, g_goal) = engine.evaluate_terms(raw)
     J_s, J_c, J_g = parts["J_s"], parts["J_c"], parts["J_g"]
-    from .costs import smoothness as _smooth, collision as _coll
-    d_P = engine.decode(raw)
-    _, g_s = _smooth(engine.d_F, d_P, engine.horizon_T)
-    if engine.grid is not None:
-        _, g_c = _coll(engine.d_F, d_P, engine.horizon_T, engine.grid,
-                       engine.potential)
-    else:
-        g_c = np.zeros_like(g_s)
-    g_goal = 2.0 * (d_P[:, :, 0] - engine.goal_p)
 
     if mode == "navigation":
         traj_w = np.ones(n)

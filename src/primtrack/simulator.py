@@ -127,15 +127,19 @@ def _visible(target_world, cam: CameraModel, grid: EsdfGrid | None,
 
 def simulate_detection(target_world, cam: CameraModel, grid: EsdfGrid | None,
                        det: DetectionSim,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None,
+                       visible: bool | None = None):
     """Noisy world-frame detection of the true target, or None.
 
     None when the target is outside the frustum, beyond the depth range,
     occluded on the ground-truth map, or dropped by a false-negative draw.
-    With rng omitted the detection is noise-free.
+    With rng omitted the detection is noise-free. A caller that has already
+    tested the visibility passes it as `visible`, saving the raycast.
     """
     target_world = np.asarray(target_world, float)
-    if not _visible(target_world, cam, grid, det):
+    if visible is None:
+        visible = _visible(target_world, cam, grid, det)
+    if not visible:
         return None
     if rng is not None and rng.uniform() < det.false_negative:
         return None
@@ -406,7 +410,7 @@ class SimParams:
     lost_timeout: float = 3.0
     acquire_timeout: float = 1.5
     max_time: float = 60.0
-    refine_steps: int = 30
+    refine_steps: int = 8
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
     # a heavier collision weight than the open-loop default buys clearance
     # margin against the emergency-stop threshold at speed
@@ -488,7 +492,7 @@ def compute_metrics(log: EpisodeLog, grid: EsdfGrid, success: bool,
     acc = np.asarray(log.acceleration, float).reshape(-1, 3)
     dt = log.control_dt
     if len(pos):
-        dist, _, _ = grid.query(pos)
+        dist, _, _ = grid.query(pos, with_grad=False)
         min_clear = float(np.min(dist))
         path_len = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
     else:
@@ -524,7 +528,11 @@ def _braking_endpoint(state: QuadState, p: SimParams) -> np.ndarray:
 
 
 class _Planner:
-    """One planning cycle: decode anchors, optimize or infer, pick, check."""
+    """One planning cycle: decode anchors, optimize or infer, pick, check.
+
+    `emergency` tells whether the latest cycle replaced the chosen
+    trajectory with a brake; the next cycle sets it afresh.
+    """
 
     def __init__(self, arena: Arena, p: SimParams, backend: str,
                  head: PolicyHead | None):
@@ -545,7 +553,12 @@ class _Planner:
 
     def plan(self, state: QuadState, goal_p, mode: str,
              target_world=None) -> tuple[Trajectory, float, float]:
-        """Returns (trajectory, chosen weighted cost, latency ms)."""
+        """Returns (trajectory, chosen weighted cost, latency ms).
+
+        The latency covers the whole cycle, from building the cost engine
+        to the executed-clearance check.
+        """
+        t0 = perf_counter()
         p = self.p
         R_cam = Rotation.from_euler("z", state.yaw).as_matrix()
         acc = np.clip(state.acceleration, -p.a_max, p.a_max)
@@ -555,7 +568,6 @@ class _Planner:
                             mode=mode, weights=p.weights, rotation=R_cam,
                             position=state.position)
         engine.set_anchors(self.thetas, self.phis, self.radii)
-        t0 = perf_counter()
         if self.backend == "refiner":
             raw, total, _ = refine(engine, steps=p.refine_steps,
                                    raw0=self._warm)
@@ -570,18 +582,19 @@ class _Planner:
             y = self.head.forward(feats.values)
             raw, scores = y[:, :9], y[:, 9]
             total, _, _ = engine.evaluate(raw, with_grad=False)
-        latency = (perf_counter() - t0) * 1e3
         chosen = int(np.argmin(scores))
         d_P = engine.decode(raw)[chosen]
         traj = Trajectory.from_boundary(d_F, d_P, self.T)
         # executed-clearance check over the first half horizon
         ts = np.linspace(0.0, self.T / 2, 11)
-        dist, _, _ = self.arena.grid.query(traj.sample_many(ts))
-        if np.min(dist) < p.emergency_factor * p.collision_radius:
-            self.emergency = True
+        dist, _, _ = self.arena.grid.query(traj.sample_many(ts),
+                                           with_grad=False)
+        self.emergency = bool(
+            np.min(dist) < p.emergency_factor * p.collision_radius)
+        if self.emergency:
             traj = Trajectory.from_boundary(d_F, _braking_endpoint(state, p),
                                             self.T)
-        return traj, float(total[chosen]), latency
+        return traj, float(total[chosen]), (perf_counter() - t0) * 1e3
 
 
 def _control_step(state: QuadState, traj: Trajectory, tau: float,
@@ -612,9 +625,11 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
                          switches: int = 1) -> EpisodeMetrics:
     """Closed-loop pursuit of a scripted evader through the arena.
 
-    Success requires no collision or emergency stop, the target never lost
-    beyond the timeout, and the vehicle within the follow distance when the
-    evader reaches its final goal.
+    Success requires no collision, no stall (the vehicle braking for an
+    emergency and slower than 0.2 m/s), the target never lost beyond the
+    timeout, and the vehicle within the follow distance when the evader
+    reaches its final goal. An emergency brake the flight recovers from is
+    not a failure.
     """
     p = params
     rng = np.random.default_rng(seed)
@@ -652,7 +667,7 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
             tgt_true = evader.position
             visible = _visible(tgt_true, cam, arena.grid, p.detection)
             det = simulate_detection(tgt_true, cam, arena.grid, p.detection,
-                                     rng)
+                                     rng, visible=visible)
             if est is None:
                 if det is not None:
                     est = TargetEstimate.from_position(det)
@@ -732,8 +747,6 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
 
     final_dist = float(np.linalg.norm(
         (evader.position - state.position)[:2]))
-    if failure is None and planner.emergency:
-        failure = "planning_failed"
     if failure is None and (not evader.done or final_dist > p.follow_distance):
         failure = "target_missed"
     success = failure is None
@@ -752,14 +765,16 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
                            start=(0.0, 0.0)) -> EpisodeMetrics:
     """Closed-loop flight to a fixed goal straight ahead of the start.
 
-    Success requires reaching the goal radius without collision. A goal
-    buried inside an obstacle ends the episode immediately, flagged as
-    unreachable rather than crashed.
+    Success requires reaching the goal radius without collision or stall
+    (the vehicle braking for an emergency and slower than 0.2 m/s); an
+    emergency brake the flight recovers from is not a failure. A goal buried
+    inside an obstacle ends the episode immediately, flagged as unreachable
+    rather than crashed.
     """
     p = params
     state = QuadState.hover([*start, p.flight_height], 0.0, p.mass)
     goal = np.array([start[0] + goal_distance, start[1], p.flight_height])
-    gdist, _, _ = arena.grid.query(goal)
+    gdist, _, _ = arena.grid.query(goal, with_grad=False)
     if float(gdist) <= p.collision_radius:
         empty = EpisodeLog(p.control_dt)
         return compute_metrics(empty, arena.grid, False, "target_missed",
@@ -806,8 +821,6 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
             reached = True
             break
 
-    if failure is None and planner.emergency:
-        failure = "planning_failed"
     if failure is None and not reached:
         failure = "target_missed"
     success = failure is None

@@ -123,3 +123,17 @@ def test_tracking_batch_smoke(tmp_path, capsys):
     assert len(metrics) == 2
     assert (out / "episode_0000.csv").exists()
     assert "success rate" in capsys.readouterr().out
+
+
+def test_bench_flies_the_run_nav_forest(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+    from primtrack import cli
+    seen = {}
+    monkeypatch.setattr(cli, "make_forest_arena",
+                        lambda seed, **kw: seen.update(kw, seed=seed))
+    monkeypatch.setattr(cli, "run_navigation_episode", lambda *a, **kw:
+                        SimpleNamespace(mean_latency_ms=1.0, success=True))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[simulator]\nmin_spacing = 4.0\n")
+    assert main(["bench", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert seen["seed"] == 1000 and seen["min_spacing"] == 4.0

@@ -69,7 +69,7 @@ def test_sim_params_builder_applies_collision_override():
     # the closed-loop build overrides the open-loop collision weight
     assert p.weights.lambda_c == cfg["simulator"]["collision_weight"]
     assert p.weights.lambda_s == cfg["cost"]["lambda_s"]
-    assert p.v_max == 8.0 and p.refine_steps == 30
+    assert p.v_max == 8.0 and p.refine_steps == 8
     assert p.detection.max_depth == 20.0
 
 

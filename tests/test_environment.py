@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primtrack.environment import (EsdfGrid, ForestSpec, PointCloud,
                                    build_esdf, generate_forest, load_cloud,
@@ -99,6 +100,25 @@ def test_esdf_matches_brute_force():
         grid = build_esdf(PointCloud(pts), (-1.5, -1.5, -1.5), dims, 0.4)
         assert np.array_equal(grid.distance,
                               _brute_force(pts, (-1.5, -1.5, -1.5), dims, 0.4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       res=st.sampled_from([0.2, 0.25, 0.3, 0.4]),
+       dims=st.tuples(st.integers(2, 20), st.integers(2, 20),
+                      st.integers(2, 12)),
+       shift=st.tuples(*(st.floats(-1.0, 0.0),) * 3))
+def test_esdf_forest_matches_brute_force(seed, res, dims, shift):
+    # forest clouds are regular (rings on a z lattice), so nearest-point
+    # ties are common; the field must still equal the brute force exactly
+    cloud = generate_forest(ForestSpec(area=(4.0, 4.0), intensity=0.25,
+                                       trunk_height=2.0, seed=seed), res)
+    if len(cloud) == 0:
+        return
+    origin = np.array([0.0, -2.0, 0.0]) + np.asarray(shift)
+    grid = build_esdf(cloud, origin, dims, res)
+    assert np.array_equal(grid.distance,
+                          _brute_force(cloud.points, origin, dims, res))
 
 
 def test_esdf_empty_cloud_is_uniform_truncation():

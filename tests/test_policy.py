@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primtrack.camera import CameraModel, anchor_to_cell
-from primtrack.costs import CostEngine, CostWeights, smooth_l1
+from primtrack.costs import (CostEngine, CostWeights, chain_rule_batch,
+                             collision, smooth_l1, smooth_l1_grad,
+                             smoothness)
 from primtrack.environment import PointCloud, build_esdf
 from primtrack.policy import (FrustumFeatures, HeadOptimizer, PolicyHead,
                               StateSampler, assign_samples, backward_and_step,
@@ -56,6 +59,24 @@ def test_refine_never_increases_cost():
     assert np.any(total < t0 - 1e-6)  # and it actually makes progress
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12),
+       scale=st.sampled_from([0.0, 0.5, 2.0]),
+       goal=st.tuples(st.floats(1.0, 8.0), st.floats(-3.0, 3.0),
+                      st.floats(0.5, 3.0)))
+def test_refine_never_raises_any_candidate_cost(seed, steps, scale, goal):
+    eng = _engine(_obstacle_grid(), np.array(goal))
+    raw0 = np.random.default_rng(seed).normal(size=(15, 9)) * scale
+    t0, _, _ = eng.evaluate(raw0)
+    raw, total, parts = refine(eng, steps=steps, raw0=raw0)
+    assert np.all(total <= t0 + 1e-9)
+    # the returned totals and parts belong to the returned raw rows
+    t1, p1, _ = eng.evaluate(raw)
+    assert np.allclose(total, t1, rtol=1e-12, atol=1e-12)
+    for k in ("J_s", "J_c", "J_g"):
+        assert np.allclose(parts[k], p1[k], rtol=1e-12, atol=1e-12)
+
+
 def test_refine_improves_clearance_near_obstacle():
     # no goal attraction: the collision potential must push paths clear
     grid = _obstacle_grid()
@@ -75,6 +96,8 @@ def test_refine_warm_start_and_step_validation():
     assert np.all(total2 <= total + 1e-9)
     with pytest.raises(ValueError):
         refine(eng, steps=0)
+    with pytest.raises(ValueError):
+        refine(eng, max_backtracks=5)
 
 
 def test_refiner_predictions_carry_realized_cost():
@@ -333,6 +356,73 @@ def test_frame_loss_grad_matches_finite_differences():
                                         target_world=target, mode="tracking")
             assert np.isclose(dLdy[k, d], (fp - fm) / (2 * h),
                               rtol=1e-4, atol=1e-6)
+
+
+def _composable_frame_loss(y, engine, cfg, assignment, mode):
+    """Trajectory part of the frame loss from the composable cost functions
+    (a separate field query per term): (loss, dL/dy[:, :10])."""
+    w = engine.weights
+    raw = y[:, :9]
+    d_P = engine.decode(raw)
+    J_s, g_s = smoothness(engine.d_F, d_P, engine.horizon_T)
+    J_c, g_c = collision(engine.d_F, d_P, engine.horizon_T, engine.grid,
+                         engine.potential)
+    diff = d_P[:, :, 0] - engine.goal_p
+    J_g, g_goal = np.sum(diff * diff, axis=1), 2.0 * diff
+    if mode == "navigation":
+        traj_w = np.ones(len(y))
+        goal_on = np.ones(len(y), bool)
+    else:
+        labels = assignment.labels
+        traj_w = np.array([1.0 if l == "positive" else w.lambda_1
+                           for l in labels])
+        goal_on = np.array([l == "positive" for l in labels])
+    y_c_hat = w.lambda_s * J_s + w.lambda_c * J_c
+    if mode == "navigation":
+        y_c_hat = y_c_hat + w.lambda_g * J_g
+    resid = y[:, 9] - y_c_hat
+    coef = traj_w * (1.0 - smooth_l1_grad(resid))
+    grad_dP = coef[:, None, None] * (w.lambda_s * g_s + w.lambda_c * g_c)
+    goal_coef = coef if mode == "navigation" else goal_on.astype(float)
+    grad_dP[:, :, 0] += (w.lambda_g * goal_coef)[:, None] * g_goal
+    dLdy = np.zeros((len(y), 10))
+    dLdy[:, :9] = chain_rule_batch(grad_dP, raw, engine.thetas, engine.phis,
+                                   engine.radii, cfg, engine.alpha,
+                                   engine.v_max, engine.a_max,
+                                   engine.rotation)
+    dLdy[:, 9] = traj_w * smooth_l1_grad(resid)
+    loss = np.sum(traj_w * (w.lambda_s * J_s + w.lambda_c * J_c
+                            + smooth_l1(resid))) \
+        + np.sum(w.lambda_g * J_g[goal_on])
+    return float(loss), dLdy
+
+
+@pytest.mark.parametrize("mode", ["navigation", "tracking"])
+def test_frame_loss_one_query_matches_composable_path(mode):
+    cfg = LatticeConfig()
+    cam = CameraModel.for_lattice(cfg).with_pose(np.eye(3),
+                                                 np.array([0.0, 0.0, 1.5]))
+    target = np.array([4.0, 0.3, 1.6])
+    eng = _engine(_obstacle_grid(), target, use_kernel=False, mode=mode)
+    asg = assign_samples(target, cam, cfg) if mode == "tracking" else None
+    y = np.random.default_rng(16).normal(size=(15, 14)) * 0.5
+    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
+                                     target_world=target, mode=mode)
+    ref_loss, ref_grad = _composable_frame_loss(y, eng, cfg, asg, mode)
+    # collision terms must be active for the comparison to mean anything
+    assert np.any(eng.evaluate(y[:, :9], with_grad=False)[1]["J_c"] > 1e-3)
+    assert np.allclose(dLdy[:, :10], ref_grad, rtol=1e-10, atol=1e-12)
+    if mode == "navigation":
+        assert np.isclose(loss, ref_loss, rtol=1e-12)
+    else:
+        # the oracle leaves out the detection terms, which depend on
+        # y[:, 10:] only: compare loss differences at fixed detection slots
+        y2 = y.copy()
+        y2[:, :10] *= -0.5
+        loss2, _ = frame_loss_and_grad(y2, eng, cfg, cam, asg,
+                                       target_world=target, mode=mode)
+        ref2, _ = _composable_frame_loss(y2, eng, cfg, asg, mode)
+        assert np.isclose(loss - loss2, ref_loss - ref2, rtol=1e-10)
 
 
 def test_frame_loss_grad_navigation_mode():

@@ -266,3 +266,71 @@ def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         run_navigation_episode(arena, _fast_params(), seed=0,
                                goal_distance=10.0, backend="head")
+
+
+# -- planning cycle ----------------------------------------------------------------
+
+def _wall_arena():
+    from primtrack.environment import PointCloud, build_esdf
+    wall = PointCloud(np.array([[3.0, y, z] for y in np.arange(-1, 1.01, 0.2)
+                                for z in np.arange(0, 3.01, 0.2)]))
+    grid = build_esdf(wall, (-6, -5, -0.5), (64, 40, 20), 0.25)
+    return Arena(grid, np.zeros((0, 2)), 0.15, 4.0, (-5.0, 9.0, -4.0, 4.0))
+
+
+def test_emergency_flag_is_set_per_cycle():
+    from primtrack.simulator import _Planner
+    planner = _Planner(_wall_arena(), SimParams(), "refiner", None)
+    # inside the clearance threshold of the wall every trajectory brakes
+    planner.plan(QuadState.hover([2.8, 0.0, 1.5]), [6.0, 0.0, 1.5],
+                 "navigation")
+    assert planner.emergency
+    # the next cycle, in free space, clears the flag again
+    planner.plan(QuadState.hover([-1.0, 0.0, 1.5], yaw=np.pi),
+                 [-5.0, 0.0, 1.5], "tracking")
+    assert not planner.emergency
+
+
+def test_planning_cycle_evaluates_at_most_20_times(monkeypatch):
+    from primtrack import simulator
+    from primtrack.costs import CostEngine
+    counts = []
+    evaluate, plan = CostEngine.evaluate, simulator._Planner.plan
+
+    def counted_evaluate(self, *a, **kw):
+        counts[-1] += 1
+        return evaluate(self, *a, **kw)
+
+    def counted_plan(self, *a, **kw):
+        counts.append(0)
+        return plan(self, *a, **kw)
+
+    monkeypatch.setattr(CostEngine, "evaluate", counted_evaluate)
+    monkeypatch.setattr(simulator._Planner, "plan", counted_plan)
+    arena = make_forest_arena(1000, clear_points=[(0.0, 0.0), (40.0, 0.0)])
+    run_navigation_episode(arena, SimParams(max_time=1.0), 0,
+                           goal_distance=40.0)
+    assert len(counts) > 30
+    assert max(counts) <= 20, max(counts)
+
+
+def test_forest_1000_flight_reaches_goal():
+    # brakes mid-course and recovers; a recovered brake is not a failure
+    arena = make_forest_arena(1000, clear_points=[(0.0, 0.0), (40.0, 0.0)])
+    m = run_navigation_episode(arena, SimParams(), 0, goal_distance=40.0)
+    assert m.success, m.failure_class
+    assert m.final_distance <= 1.0
+
+
+def test_tracking_raycasts_once_per_cycle(monkeypatch):
+    from primtrack import simulator
+    rays, cycles = [], []
+    raycast, plan = simulator.raycast, simulator._Planner.plan
+    monkeypatch.setattr(simulator, "raycast",
+                        lambda *a, **kw: rays.append(1) or raycast(*a, **kw))
+    monkeypatch.setattr(simulator._Planner, "plan",
+                        lambda *a, **kw: cycles.append(1) or plan(*a, **kw))
+    arena = make_forest_arena(103, clear_points=[(0.0, 0.0), (4.0, 0.0)])
+    run_tracking_episode(arena, SimParams(max_time=1.0), 3, 3.0)
+    assert len(cycles) > 20
+    assert 0 < len(rays) <= len(cycles)
