@@ -13,7 +13,7 @@ from .costs import CostEngine, CostWeights, PotentialParams
 from .environment import EsdfGrid, ForestSpec, PointCloud, build_esdf, \
     generate_forest
 from .policy import PolicyHead, StateSampler, refine
-from .primitives import LatticeConfig, PredictionVector, build_library
+from .primitives import LatticeConfig, build_library
 from .simulator import Arena, QuadState, SimParams, empty_arena, \
     make_forest_arena, run_navigation_episode, run_tracking_episode
 from .tracker import TargetEstimate, gated_update, predict
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arena", "CameraModel", "CostEngine", "CostWeights", "EsdfGrid",
     "ForestSpec", "LatticeConfig", "PointCloud", "PolicyHead",
-    "PotentialParams", "PredictionVector", "QuadState", "RunConfig",
+    "PotentialParams", "QuadState", "RunConfig",
     "SimParams", "StateSampler", "TargetEstimate", "Trajectory",
     "build_esdf", "build_library", "empty_arena", "gated_update",
     "generate_forest", "make_forest_arena", "predict", "refine",

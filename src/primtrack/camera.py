@@ -60,12 +60,6 @@ class CameraModel:
         return replace(self, rotation=np.asarray(rotation, float),
                        position=np.asarray(position, float))
 
-    @property
-    def intrinsics(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
     # -- transforms --------------------------------------------------------
 
     def world_to_camera(self, p_w) -> np.ndarray:

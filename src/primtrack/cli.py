@@ -1,9 +1,9 @@
 """Command-line entry points binding the modules into runnable experiments.
 
 Subcommands cover environment generation, closed-loop tracking/navigation
-batches, head training with dataset generation, gradient checking against
-finite differences, and a latency benchmark. Experiment failures (failed
-episodes) exit zero; only process-level errors exit nonzero.
+batches, head training with dataset generation, and gradient checking
+against finite differences. Experiment failures (failed episodes) exit zero;
+only process-level errors exit nonzero.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from .camera import CameraModel
 from .config import RunConfig, example_text
 from .costs import (CostEngine, PotentialParams, collision,
                     goal as goal_cost, smoothness)
-from .environment import (PointCloud, build_esdf, generate_forest, load_cloud,
-                          raycast, save_cloud, save_esdf)
+from .environment import (PointCloud, build_esdf, load_cloud, raycast,
+                          save_cloud, save_esdf)
 from .policy import (HeadOptimizer, PolicyHead, assign_samples,
                      backward_and_step, compute_features, load_head,
                      sample_training_state, save_head)
 from .primitives import LatticeConfig, build_library, horizon
-from .simulator import (make_forest_arena, run_navigation_episode,
-                        run_tracking_episode)
+from .simulator import run_navigation_episode, run_tracking_episode
 from .trajectory import hermite_matrix, power_row
 
 __all__ = ["main", "grad_check_report", "make_dataset", "load_frames",
@@ -55,18 +54,14 @@ def _metrics_row(seed: int, m) -> dict:
 
 def cmd_generate_env(cfg: RunConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    spec = cfg.forest_spec(seed)
-    res = cfg["simulator"]["resolution"]
-    cloud = generate_forest(spec, res)
-    arena = make_forest_arena(seed, intensity=spec.intensity, area=spec.area,
-                              min_spacing=spec.min_spacing, resolution=res,
-                              trunk_height=spec.trunk_height)
-    save_cloud(out / "cloud.txt", cloud)
+    arena = cfg.forest_arena(seed)
+    save_cloud(out / "cloud.txt", arena.cloud)
     save_esdf(out / "esdf.bin", arena.grid)
     n_trees = len(arena.trunks)
     dims = arena.grid.dims
     print(f"trees {n_trees}")
-    print(f"grid dims {dims[0]}x{dims[1]}x{dims[2]} resolution {res}")
+    print(f"grid dims {dims[0]}x{dims[1]}x{dims[2]} "
+          f"resolution {arena.grid.resolution}")
     print(f"distance range [{arena.grid.distance.min():.3f}, "
           f"{arena.grid.distance.max():.3f}]")
     return 0
@@ -82,18 +77,11 @@ def _run_batch(cfg: RunConfig, mode: str, out: Path, backend: str,
     head = load_head(head_path) if head_path else None
     if backend == "head" and head is None:
         raise SystemExit("head backend requires --head CHECKPOINT")
-    spacing = s["min_spacing"] if s["min_spacing"] > 0 else None
+    far = 4.0 if mode == "tracking" else s["goal_distance"]
     rows = []
     for seed in seeds:
-        if mode == "tracking":
-            clear = [(0.0, 0.0), (4.0, 0.0)]
-        else:
-            clear = [(0.0, 0.0), (s["goal_distance"], 0.0)]
-        arena = make_forest_arena(1000 + seed, intensity=s["intensity"],
-                                  area=(s["area_width"], s["area_depth"]),
-                                  clear_points=clear, min_spacing=spacing,
-                                  resolution=s["resolution"],
-                                  trunk_height=s["trunk_height"])
+        arena = cfg.forest_arena(1000 + seed,
+                                 clear_points=[(0.0, 0.0), (far, 0.0)])
         log_path = out / f"episode_{seed:04d}.csv"
         if mode == "tracking":
             m = run_tracking_episode(arena, p, seed, s["evader_speed"],
@@ -447,33 +435,6 @@ def cmd_train(cfg: RunConfig, dataset: Path, out: Path, seed: int,
     return 0
 
 
-# -- bench ---------------------------------------------------------------------
-
-def cmd_bench(cfg: RunConfig, seed: int, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    s = cfg["simulator"]
-    p = cfg.sim_params()
-    spacing = s["min_spacing"] if s["min_spacing"] > 0 else None
-    arena = make_forest_arena(1000 + seed, intensity=s["intensity"],
-                              area=(s["area_width"], s["area_depth"]),
-                              clear_points=[(0.0, 0.0),
-                                            (s["goal_distance"], 0.0)],
-                              min_spacing=spacing,
-                              resolution=s["resolution"],
-                              trunk_height=s["trunk_height"])
-    log_path = out / "bench_episode.csv"
-    m = run_navigation_episode(arena, p, seed,
-                               goal_distance=s["goal_distance"],
-                               log_path=log_path)
-    print(f"planning cycles: full lattice refinement, candidate selection, "
-          f"trajectory solve, executed-clearance check")
-    print(f"mean latency {m.mean_latency_ms:.3f} ms (budget 10 ms); "
-          f"episode success={m.success}")
-    print("informational reference: deployed-network planners report ~3 ms "
-          "on embedded hardware (not a contract here)")
-    return 0
-
-
 # -- entry point -----------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -504,8 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--dataset", required=True, help="frame directory")
     sp.add_argument("--resume", help="checkpoint to continue from")
-    sp = sub.add_parser("bench", help="planning latency benchmark")
-    common(sp)
     sp = sub.add_parser("example-config", help="print annotated defaults")
     return ap
 
@@ -541,8 +500,6 @@ def main(argv=None) -> int:
             return make_dataset(cfg, out, seed)
         if args.command == "train":
             return cmd_train(cfg, Path(args.dataset), out, seed, args.resume)
-        if args.command == "bench":
-            return cmd_bench(cfg, seed, out)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

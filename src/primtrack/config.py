@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from .costs import CostWeights, PotentialParams
 from .policy import StateSampler
 from .primitives import LatticeConfig
-from .simulator import DetectionSim, ForestSpec, SimParams
+from .simulator import Arena, DetectionSim, SimParams, make_forest_arena
 
 __all__ = ["RunConfig", "example_text"]
 
@@ -24,11 +24,8 @@ _NP = "tuned default"
 # (default, help) per key; a trailing "*" in help marks tuned defaults
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "mode": ("tracking", "tracking | navigation | train | grad-check | bench"),
         "seeds": ("0 1 2 3 4 5 6 7 8 9", "episode seeds, whitespace-separated"),
-        "out": ("runs", "output directory"),
         "backend": ("refiner", "refiner | head"),
-        "env": ("", "optional directory of pre-generated environment files"),
     },
     "lattice": {
         "m_phi": (5, "horizontal grid cells"),
@@ -49,9 +46,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "cutoff": (2.0, "potential cutoff distance, meters *"),
     },
     "observer": {
-        "alpha1": (2.0, "momentum innovation gain *"),
-        "alpha2": (1.0, "disturbance innovation gain *"),
-        "zeta": (0.05, "high-gain time scale, seconds *"),
         "mass": (1.0, "vehicle mass, kilograms *"),
     },
     "simulator": {
@@ -208,14 +202,17 @@ class RunConfig:
         return PotentialParams(c["d_safe"], c["falloff"], c["cutoff"],
                                dt=horizon_T / 20.0)
 
-    def forest_spec(self, seed: int) -> ForestSpec:
+    def forest_arena(self, seed: int, clear_points=()) -> Arena:
+        """The configured Poisson forest and its distance field."""
         s = self["simulator"]
         spacing = s["min_spacing"] if s["min_spacing"] > 0 else None
-        return ForestSpec(intensity=s["intensity"],
-                          area=(s["area_width"], s["area_depth"]),
-                          trunk_radius=s["trunk_radius"],
-                          trunk_height=s["trunk_height"],
-                          seed=seed, min_spacing=spacing)
+        return make_forest_arena(seed, intensity=s["intensity"],
+                                 area=(s["area_width"], s["area_depth"]),
+                                 clear_points=clear_points,
+                                 min_spacing=spacing,
+                                 resolution=s["resolution"],
+                                 trunk_height=s["trunk_height"],
+                                 trunk_radius=s["trunk_radius"])
 
     def sim_params(self) -> SimParams:
         s = self["simulator"]

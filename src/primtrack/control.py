@@ -122,12 +122,3 @@ def observer_step(obs: ObserverState, v_meas, attitude, thrust: float,
                    z1_hat=obs.z1_hat + dt * z1_dot,
                    z2_hat=obs.z2_hat + dt * z2_dot,
                    stability_flag=dt > obs.zeta / 2)
-
-
-def telemetry_row(t: float, acc_des, cmd: Command, obs: ObserverState):
-    """CSV row of the acceleration-domain curves: desired acceleration, the
-    acceleration the attitude command produces, and the disturbance term."""
-    att_acc = (cmd.attitude @ _EZ) * cmd.thrust / obs.mass - GRAVITY * _EZ
-    dist_acc = obs.z2_hat / obs.mass
-    vals = [t, *np.asarray(acc_des, float), *att_acc, *dist_acc]
-    return ",".join(f"{v:.6f}" for v in vals)

@@ -20,20 +20,15 @@ import numpy as np
 
 from . import kernels
 from .environment import EsdfGrid
-from .primitives import LatticeConfig, PredictionVector, PrimitiveAnchor, \
-    spherical_jacobian, spherical_endpoint
+from .primitives import LatticeConfig, spherical_jacobian
 from .trajectory import hermite_matrix, power_row
 
 __all__ = [
     "CostWeights",
     "PotentialParams",
-    "CostBreakdown",
     "smoothness",
     "collision",
     "goal",
-    "chain_rule",
-    "total_loss",
-    "cost_supervision",
     "smooth_l1",
     "CostEngine",
 ]
@@ -80,19 +75,6 @@ class PotentialParams:
         mask = d < self.cutoff
         c = np.where(mask, c, 0.0)
         return c, np.where(mask, -c / self.falloff, 0.0)
-
-
-@dataclass
-class CostBreakdown:
-    """Per-candidate cost terms and the gradient w.r.t. the end state."""
-
-    J_s: float
-    J_c: float
-    J_g: float
-    grad_dP: np.ndarray  # (3, 3): [axis, (pos, vel, acc)]
-
-    def weighted(self, w: CostWeights) -> float:
-        return w.lambda_s * self.J_s + w.lambda_c * self.J_c + w.lambda_g * self.J_g
 
 
 @lru_cache(maxsize=64)
@@ -281,16 +263,6 @@ def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray, thetas, phis,
     return out
 
 
-def chain_rule(grad_dP: np.ndarray, pred: PredictionVector,
-               anchor: PrimitiveAnchor, cfg: LatticeConfig, alpha: float,
-               v_max: float, a_max: float, rotation=None) -> np.ndarray:
-    """Single-candidate chain rule: gradient w.r.t. the raw 9 variables."""
-    raw = np.concatenate([[pred.y_theta, pred.y_phi, pred.y_r],
-                          pred.y_v, pred.y_a])[None]
-    return chain_rule_batch(grad_dP[None], raw, [anchor.theta], [anchor.phi],
-                            [anchor.r], cfg, alpha, v_max, a_max, rotation)[0]
-
-
 # -- losses -----------------------------------------------------------------
 
 def smooth_l1(x, beta: float = 1.0):
@@ -302,51 +274,6 @@ def smooth_l1(x, beta: float = 1.0):
 def smooth_l1_grad(x, beta: float = 1.0):
     x = np.asarray(x, float)
     return np.where(np.abs(x) < beta, x / beta, np.sign(x))
-
-
-def cost_supervision(y_c: float, J_s: float, J_c: float, J_g: float,
-                     mode: str, weights: CostWeights | None = None) -> float:
-    """Smooth-L1 loss between the predicted and the realized trajectory cost.
-
-    The target excludes the goal term in tracking mode, where a target may
-    not exist.
-    """
-    w = weights or CostWeights()
-    target = w.lambda_s * J_s + w.lambda_c * J_c
-    if mode == "navigation":
-        target += w.lambda_g * J_g
-    elif mode != "tracking":
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(np.sum(smooth_l1(y_c - target)))
-
-
-def total_loss(per_anchor: list[dict], mode: str,
-               weights: CostWeights | None = None) -> float:
-    """Assemble the training loss over anchors.
-
-    Each entry carries J_s, J_c, J_g, L_cost and, for tracking, a label in
-    {"positive", "negative", "ignored"} plus L_tgt / L_obj where defined.
-    Navigation treats every anchor as positive and drops the detection terms.
-    """
-    w = weights or CostWeights()
-    total = 0.0
-    for entry in per_anchor:
-        traj = w.lambda_s * entry["J_s"] + w.lambda_c * entry["J_c"]
-        l_cost = entry.get("L_cost", 0.0)
-        if mode == "navigation":
-            total += traj + w.lambda_g * entry["J_g"] + l_cost
-            continue
-        label = entry.get("label")
-        if label == "positive":
-            total += (traj + w.lambda_g * entry["J_g"] + l_cost
-                      + entry.get("L_tgt", 0.0) + entry.get("L_obj", 0.0))
-        elif label == "ignored":
-            total += w.lambda_1 * (traj + l_cost)
-        elif label == "negative":
-            total += w.lambda_1 * (traj + l_cost) + w.lambda_2 * entry.get("L_obj", 0.0)
-        else:
-            raise ValueError(f"anchor missing a valid label: {label!r}")
-    return float(total)
 
 
 # -- batched engine ----------------------------------------------------------
@@ -423,7 +350,7 @@ class CostEngine:
         idx restricts the evaluation to a subset of the configured anchors
         (raw rows must match). Returns (total (N,), parts dict, grad (N, 9)
         or None). This is a fused fast path; it matches the composable
-        smoothness/collision/goal/chain_rule functions exactly.
+        smoothness/collision/goal/chain_rule_batch functions exactly.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         n = len(raw)

@@ -43,16 +43,6 @@ class PointCloud:
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_points(cls, points, dedup_resolution: float | None = None) -> "PointCloud":
-        """Build a cloud, optionally deduplicating within a voxel resolution."""
-        pts = np.atleast_2d(np.asarray(points, float))
-        if dedup_resolution is not None and len(pts):
-            keys = np.floor(pts / dedup_resolution).astype(np.int64)
-            _, idx = np.unique(keys, axis=0, return_index=True)
-            pts = pts[np.sort(idx)]
-        return cls(pts)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -161,14 +151,6 @@ class EsdfGrid:
 
     # -- interpolation ----------------------------------------------------
 
-    def _continuous_index(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Continuous lattice coordinates and an out-of-band flag per query."""
-        u = (p - self.origin) / self.resolution - 0.5
-        hi = np.array(self.dims, float) - 1.0
-        clamped = np.clip(u, 0.0, hi)
-        oob = np.any((u < -1e-12) | (u > hi + 1e-12), axis=-1)
-        return clamped, oob
-
     def _gather(self, i0: np.ndarray) -> np.ndarray:
         """Corner values of the cells with low corner i0, shape (N, 8)."""
         base = i0 @ self._strides
@@ -193,15 +175,6 @@ class EsdfGrid:
         dz1 = (c[:, 5] - c[:, 4]) * gy + (c[:, 7] - c[:, 6]) * fy
         grad[:, 2] = dz0 * gx + dz1 * fx
         return val, grad
-
-    def _interp(self, u: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation at continuous (clamped) lattice coords."""
-        shape = u.shape[:-1]
-        u = u.reshape(-1, 3)
-        i0 = np.clip(np.floor(u).astype(np.intp), 0,
-                     np.array(self.dims) - 2)
-        val, _ = self._cell_eval(self._gather(i0), u - i0)
-        return val.reshape(shape)
 
     def query(self, p, with_grad: bool = True):
         """(distance, gradient, out_of_band) at world points p, shape (..., 3).

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraModel, anchor_to_cell, cell_to_anchor
-from .costs import (CostEngine, CostBreakdown, CostWeights, chain_rule_batch,
-                    smooth_l1, smooth_l1_grad)
+from .costs import CostEngine, chain_rule_batch, smooth_l1, smooth_l1_grad
 from .environment import EsdfGrid, raycast
-from .primitives import LatticeConfig, PredictionVector, build_library, \
-    spherical_endpoint
+from .primitives import LatticeConfig, build_library, spherical_endpoint
 
 __all__ = [
     "FrustumFeatures",
@@ -30,8 +28,6 @@ __all__ = [
     "StateSampler",
     "refine",
     "assign_samples",
-    "decode_target",
-    "detection_losses",
     "sample_training_state",
     "compute_features",
     "frame_loss_and_grad",
@@ -169,24 +165,6 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
         active[moved[improvement < ftol]] = False
         active &= gnorm2 > grad_tol ** 2
     return raw, total, parts
-
-
-def refiner_predictions(engine: CostEngine, cfg: LatticeConfig, **kw):
-    """Run the refiner and wrap results in the common prediction contract.
-
-    The predicted cost slot carries the realized weighted cost so downstream
-    selection treats both backends identically.
-    """
-    raw, total, parts = refine(engine, **kw)
-    results = []
-    for k in range(len(raw)):
-        pred = PredictionVector(
-            y_theta=raw[k, 0], y_phi=raw[k, 1], y_r=raw[k, 2],
-            y_v=raw[k, 3:6], y_a=raw[k, 6:9], y_c=float(total[k]))
-        bd = CostBreakdown(float(parts["J_s"][k]), float(parts["J_c"][k]),
-                           float(parts["J_g"][k]), np.zeros((3, 3)))
-        results.append((pred, bd))
-    return results
 
 
 # -- privileged frustum features ---------------------------------------------
@@ -387,22 +365,7 @@ def load_head(path) -> PolicyHead:
     return PolicyHead(ws, bs)
 
 
-# -- detection decoding, labels, losses ----------------------------------------
-
-def decode_target(pred: PredictionVector, cell: tuple[int, int],
-                  cam: CameraModel):
-    """Pixel center and world position of the predicted target.
-
-    cell is (u_grid, v_grid) = (column, row). A nonpositive depth yields the
-    pixel only (world position None).
-    """
-    u_grid, v_grid = cell
-    u = (_sigmoid(pred.y_du) + u_grid) * cam.ds
-    v = (_sigmoid(pred.y_dv) + v_grid) * cam.ds
-    if pred.y_d <= 0:
-        return (float(u), float(v)), None
-    return (float(u), float(v)), cam.unproject(u, v, pred.y_d)
-
+# -- detection labels ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class SampleAssignment:
@@ -410,9 +373,6 @@ class SampleAssignment:
 
     labels: tuple[str, ...]
     positive: int | None
-
-    def label_of(self, flat_index: int) -> str:
-        return self.labels[flat_index]
 
 
 def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
@@ -446,29 +406,6 @@ def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
     return SampleAssignment(tuple(labels), i0 * cfg.m_theta + j0)
 
 
-def detection_losses(pred: PredictionVector, label: str, target_cam,
-                     cam: CameraModel, cell: tuple[int, int]):
-    """(L_tgt, L_obj) for one cell given its label and camera-frame truth.
-
-    L_tgt is a smooth-L1 on the camera-frame target position (positive cells
-    only); L_obj is binary cross-entropy on the objectness score (positive
-    and negative cells; ignored cells contribute neither).
-    """
-    l_tgt = 0.0
-    if label == "positive":
-        if target_cam is None:
-            raise ValueError("positive cells require the ground-truth target")
-        (u, v), _ = decode_target(pred, cell, cam)
-        p_c = cam.unproject_camera(u, v, pred.y_d)
-        l_tgt = float(np.sum(smooth_l1(p_c - np.asarray(target_cam, float))))
-    if label == "ignored":
-        return l_tgt, 0.0
-    y_hat = 1.0 if label == "positive" else 0.0
-    p = np.clip(_sigmoid(pred.y_o), 1e-12, 1 - 1e-12)
-    l_obj = float(-(y_hat * np.log(p) + (1 - y_hat) * np.log(1 - p)))
-    return l_tgt, l_obj
-
-
 # -- training-state sampling ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -492,11 +429,6 @@ class StateSampler:
             raise ValueError("v_m must be positive")
         if self.mu is None:
             object.__setattr__(self, "mu", float(np.log(0.4 * self.v_m)))
-
-    @classmethod
-    def for_limits(cls, v_max: float, a_max: float) -> "StateSampler":
-        return cls(v_m=1.1 * v_max, lateral_std=0.3 * v_max,
-                   vertical_std=0.3 * v_max, acc_std=0.3 * a_max)
 
     def forward_pdf(self, v: np.ndarray) -> np.ndarray:
         """Density of the forward velocity on v < v_m."""

@@ -1,10 +1,9 @@
-"""Spherical state-lattice anchors over the camera FOV and offset decoding.
+"""Spherical state-lattice anchors over the camera FOV.
 
 Anchors are trajectory endpoints placed at grid-cell-center angles on a
 sphere of radius r in the camera frame (x forward, y left, z up). Raw
 predictions refine an anchor by tanh-bounded angular/radial offsets and
-carry denormalized end derivatives, a cost, an objectness logit, and a
-target detection.
+carry denormalized end derivatives; `costs.decode_raw_batch` decodes them.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import numpy as np
 __all__ = [
     "LatticeConfig",
     "PrimitiveAnchor",
-    "PredictionVector",
     "build_library",
-    "decode_offsets",
-    "decode_derivatives",
     "horizon",
     "spherical_endpoint",
     "spherical_jacobian",
@@ -113,43 +109,6 @@ class PrimitiveAnchor:
         return i * cfg.m_theta + j
 
 
-@dataclass
-class PredictionVector:
-    """Raw 14-dimensional per-anchor outputs.
-
-    Offsets (y_theta, y_phi, y_r), end derivatives (y_v, y_a: 3 each),
-    trajectory cost y_c, objectness logit y_o, and the target detection
-    (y_du, y_dv pixel logits, y_d depth in meters).
-    """
-
-    y_theta: float = 0.0
-    y_phi: float = 0.0
-    y_r: float = 0.0
-    y_v: np.ndarray = None  # type: ignore[assignment]
-    y_a: np.ndarray = None  # type: ignore[assignment]
-    y_c: float = 0.0
-    y_o: float = 0.0
-    y_du: float = 0.0
-    y_dv: float = 0.0
-    y_d: float = 0.0
-
-    def __post_init__(self):
-        self.y_v = np.zeros(3) if self.y_v is None else np.asarray(self.y_v, float)
-        self.y_a = np.zeros(3) if self.y_a is None else np.asarray(self.y_a, float)
-
-    @classmethod
-    def from_array(cls, y: np.ndarray) -> "PredictionVector":
-        y = np.asarray(y, float)
-        if y.shape != (14,):
-            raise ValueError(f"expected 14 outputs, got shape {y.shape}")
-        return cls(y[0], y[1], y[2], y[3:6], y[6:9], y[9], y[10], y[11], y[12], y[13])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([
-            [self.y_theta, self.y_phi, self.y_r], self.y_v, self.y_a,
-            [self.y_c, self.y_o, self.y_du, self.y_dv, self.y_d]])
-
-
 def build_library(cfg: LatticeConfig) -> list[PrimitiveAnchor]:
     """All M_phi * M_theta anchors at grid-cell-center angles."""
     anchors = []
@@ -159,25 +118,6 @@ def build_library(cfg: LatticeConfig) -> list[PrimitiveAnchor]:
                 (i, j), float(theta), float(phi), cfg.r,
                 spherical_endpoint(theta, phi, cfg.r)))
     return anchors
-
-
-def decode_offsets(anchor: PrimitiveAnchor, pred: PredictionVector,
-                   cfg: LatticeConfig) -> np.ndarray:
-    """Refined camera-frame endpoint from tanh-bounded offsets."""
-    theta = anchor.theta + np.tanh(pred.y_theta) * cfg.d_theta
-    phi = anchor.phi + np.tanh(pred.y_phi) * cfg.d_phi
-    r = anchor.r + np.tanh(pred.y_r) * anchor.r
-    return spherical_endpoint(theta, phi, r)
-
-
-def decode_derivatives(pred: PredictionVector, alpha: float, v_max: float,
-                       a_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Denormalized end velocity and acceleration (camera frame)."""
-    if not (alpha > 0 and v_max > 0 and a_max > 0):
-        raise ValueError("scales must be positive")
-    vel = np.tanh(pred.y_v) * alpha * v_max
-    acc = np.tanh(pred.y_a) * alpha ** 2 * a_max
-    return vel, acc
 
 
 def horizon(cfg: LatticeConfig, alpha: float, v_max: float) -> float:

@@ -4,8 +4,9 @@ The plant integrates thrust-vector commands with a first-order attitude
 lag, quadratic drag, and an optional constant force bias. Scripted evaders
 follow shortest-path polylines over the privileged obstacle map and switch
 goals mid-run. Detections are synthesized from the true target pose with
-FOV/occlusion checks and configurable noise. Episode loops close the full
-perception-plan-control chain and report standard metrics.
+FOV/occlusion checks and configurable noise. One episode loop closes the
+full perception-plan-control chain for pursuit and navigation alike and
+reports standard metrics.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .camera import CameraModel
 from .control import GRAVITY, Command, ObserverState, flatness_commands, \
     observer_step
 from .costs import CostEngine, CostWeights
-from .environment import EsdfGrid, ForestSpec, build_esdf, generate_forest, \
-    raycast, trunk_positions
+from .environment import EsdfGrid, ForestSpec, PointCloud, build_esdf, \
+    generate_forest, raycast, trunk_positions
 from .policy import PolicyHead, compute_features, refine
 from .primitives import LatticeConfig, build_library, horizon
 from .tracker import TargetEstimate, gated_update, plan_yaw, predict
@@ -347,16 +348,19 @@ class Arena:
     trunk_radius: float
     trunk_height: float
     bounds: tuple  # xmin, xmax, ymin, ymax for path planning
+    cloud: PointCloud | None = None  # obstacle points the field is built from
 
 
 def make_forest_arena(seed: int, intensity: float = 1.0 / 16.0,
                       area=(16.0, 50.0), clear_points=(),
                       min_spacing: float | None = None,
                       resolution: float = 0.25, margin: float = 3.0,
-                      trunk_height: float = 4.0) -> Arena:
+                      trunk_height: float = 4.0,
+                      trunk_radius: float = 0.15) -> Arena:
     """Poisson-forest world with its truncated distance field."""
     spec = ForestSpec(intensity=intensity, area=area, seed=seed,
-                      min_spacing=min_spacing, trunk_height=trunk_height)
+                      min_spacing=min_spacing, trunk_radius=trunk_radius,
+                      trunk_height=trunk_height)
     cloud = generate_forest(spec, resolution, clear_points)
     width, depth = area
     origin = np.array([-margin, -width / 2 - margin, 0.0])
@@ -366,13 +370,12 @@ def make_forest_arena(seed: int, intensity: float = 1.0 / 16.0,
     grid = build_esdf(cloud, origin, dims, resolution)
     return Arena(grid, trunk_positions(spec, clear_points),
                  spec.trunk_radius, trunk_height,
-                 (0.0, depth, -width / 2, width / 2))
+                 (0.0, depth, -width / 2, width / 2), cloud)
 
 
 def empty_arena(area=(16.0, 50.0), resolution: float = 0.5,
                 margin: float = 3.0, height: float = 4.5) -> Arena:
     """Obstacle-free world (distance field saturated at the truncation)."""
-    from .environment import PointCloud
     width, depth = area
     origin = np.array([-margin, -width / 2 - margin, 0.0])
     dims = tuple(int(np.ceil(e / resolution)) for e in
@@ -616,6 +619,68 @@ def _control_step(state: QuadState, traj: Trajectory, tau: float,
     return state, obs, cmd
 
 
+def _fly(arena: Arena, p: SimParams, planner: _Planner, state: QuadState,
+         yaw_cmd: float, max_time: float, log_path, cycle, finished,
+         outcome, advance=None) -> EpisodeMetrics:
+    """The closed loop that both kinds of episode fly.
+
+    Each planning period `cycle(state, t, yaw_cmd, log)` returns the cycle's
+    (goal, yaw command, cost mode, head target), None to keep the current
+    trajectory (before the first plan: hold the plant, log hover thrust),
+    or a failure class. After each plant step `advance(dt)` moves the world,
+    a collision or a stall (braking, slower than 0.2 m/s) fails, and
+    `finished(state, t)` ends the episode. `outcome(state, finished)` gives
+    (missed, final distance); a miss that did not fail is target_missed.
+    """
+    obs = ObserverState.initial(state.velocity, mass=p.mass)
+    log = EpisodeLog(p.control_dt)
+    every = max(1, round(1.0 / p.planner_rate / p.control_dt))
+    traj, t_plan, failure, done = None, 0.0, None, False
+    for k in range(int(max_time / p.control_dt)):
+        t = k * p.control_dt
+        if k % every == 0:
+            request = cycle(state, t, yaw_cmd, log)
+            if isinstance(request, str):
+                failure = request
+                break
+            if request is not None:
+                goal_p, yaw_cmd, mode, target = request
+                traj, cost, lat = planner.plan(state, goal_p, mode,
+                                               target_world=target)
+                t_plan = t
+                log.latency_ms.append(lat)
+                log.chosen_cost.append(cost)
+        if traj is not None:
+            state, obs, cmd = _control_step(state, traj, t - t_plan, yaw_cmd,
+                                            obs, p)
+            thrust = cmd.thrust
+        else:
+            thrust = p.mass * GRAVITY
+        if advance is not None:
+            advance(p.control_dt)
+        log.t.append(t)
+        log.position.append(state.position.copy())
+        log.velocity.append(state.velocity.copy())
+        log.acceleration.append(state.acceleration.copy())
+        log.yaw.append(state.yaw)
+        log.thrust.append(thrust)
+        if _collided(state.position, arena, p.collision_radius) or (
+                planner.emergency and np.linalg.norm(state.velocity) < 0.2):
+            failure = "planning_failed"
+            break
+        if finished(state, t):
+            done = True
+            break
+    missed, final = outcome(state, done)
+    if failure is None and missed:
+        failure = "target_missed"
+    metrics = compute_metrics(log, arena.grid, failure is None,
+                              failure or "none", final)
+    if log_path is not None:
+        log.save_csv(log_path)
+    return metrics
+
+
 def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
                          evader_speed: float, course_length: float = 40.0,
                          backend: str = "refiner",
@@ -642,119 +707,82 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
     yaw0 = float(np.arctan2(target_start[1] - start[1],
                             target_start[0] - start[0]))
     state = QuadState.hover([*start, p.flight_height], yaw0, p.mass)
-    obs = ObserverState.initial(state.velocity, mass=p.mass)
     planner = _Planner(arena, p, backend, head)
-    log = EpisodeLog(p.control_dt)
     planner_dt = 1.0 / p.planner_rate
-    every = max(1, round(planner_dt / p.control_dt))
-
     est: TargetEstimate | None = None
     lost_time = 0.0
-    traj = None
-    t_plan = 0.0
-    yaw_cmd = yaw0
     goal_p = np.array([*target_start, p.flight_height])
-    failure = None
     grace = None
-    max_time = min(p.max_time, course_length / max(evader_speed, 0.5) + 20.0)
-    n_max = int(max_time / p.control_dt)
 
-    for k in range(n_max):
-        t = k * p.control_dt
-        if k % every == 0:
-            R_cam = Rotation.from_euler("z", state.yaw).as_matrix()
-            cam = planner.cam0.with_pose(R_cam, state.position)
-            tgt_true = evader.position
-            visible = _visible(tgt_true, cam, arena.grid, p.detection)
-            det = simulate_detection(tgt_true, cam, arena.grid, p.detection,
-                                     rng, visible=visible)
-            if est is None:
-                if det is not None:
-                    est = TargetEstimate.from_position(det)
-                elif t > p.acquire_timeout:
-                    failure = "target_missed"
-                    break
-            else:
-                est = predict(est, planner_dt)
-                est, accepted = gated_update(
-                    est, [det] if det is not None else [])
-                lost_time = 0.0 if accepted is not None else \
-                    lost_time + planner_dt
-                if lost_time > p.lost_timeout:
-                    failure = "target_missed"
-                    break
-            if est is not None:
-                lead = est.velocity * p.lead_time
-                lnorm = float(np.linalg.norm(lead))
-                if lnorm > p.standoff:  # fast targets: lead at most one standoff
-                    lead *= p.standoff / lnorm
-                tgt = est.position + lead
-                delta = tgt - state.position
-                norm = np.linalg.norm(delta[:2])
-                if norm > 0.3:
-                    goal_p = tgt - delta / np.linalg.norm(delta) * p.standoff
-                # a decelerating or turning target can pull the lead point
-                # behind itself; never command the pursuit inside min_standoff
-                away = (goal_p - est.position)[:2]
-                anorm = float(np.linalg.norm(away))
-                if anorm < p.min_standoff:
-                    back = -delta[:2]
-                    bnorm = float(np.linalg.norm(back))
-                    direction = back / bnorm if bnorm > 1e-9 else \
-                        (away / anorm if anorm > 1e-9 else np.array([-1.0, 0.0]))
-                    goal_p = est.position + p.min_standoff * np.array(
-                        [*direction, 0.0])
-                goal_p = np.array([goal_p[0], goal_p[1], p.flight_height])
-                yaw_cmd = plan_yaw(est.position, state.position, state.yaw,
-                                   planner_dt, lost=lost_time > 0,
-                                   last_bearing=yaw_cmd)
-                traj, cost, lat = planner.plan(
-                    state, goal_p, "tracking",
-                    target_world=est.position if backend == "head" else None)
-                t_plan = t
-                rel = R_cam.T @ (tgt_true - state.position)
-                log.in_fov.append(visible)
-                log.rel_xy.append(rel[:2])
-                log.target_dist.append(
-                    float(np.linalg.norm((tgt_true - state.position)[:2])))
-                log.latency_ms.append(lat)
-                log.chosen_cost.append(cost)
-                log.detected.append(det is not None)
-        if traj is not None:
-            state, obs, cmd = _control_step(state, traj, t - t_plan, yaw_cmd,
-                                            obs, p)
-            thrust = cmd.thrust
+    def cycle(state, t, yaw_cmd, log):  # detect, filter, lead the target
+        nonlocal est, lost_time, goal_p
+        R_cam = Rotation.from_euler("z", state.yaw).as_matrix()
+        cam = planner.cam0.with_pose(R_cam, state.position)
+        tgt_true = evader.position
+        visible = _visible(tgt_true, cam, arena.grid, p.detection)
+        det = simulate_detection(tgt_true, cam, arena.grid, p.detection,
+                                 rng, visible=visible)
+        if est is None:
+            if det is None:
+                return "target_missed" if t > p.acquire_timeout else None
+            est = TargetEstimate.from_position(det)
         else:
-            thrust = p.mass * GRAVITY
-        evader.step(p.control_dt)
-        log.t.append(t)
-        log.position.append(state.position.copy())
-        log.velocity.append(state.velocity.copy())
-        log.acceleration.append(state.acceleration.copy())
-        log.yaw.append(state.yaw)
-        log.thrust.append(thrust)
-        if _collided(state.position, arena, p.collision_radius):
-            failure = "planning_failed"
-            break
-        if planner.emergency and np.linalg.norm(state.velocity) < 0.2:
-            failure = "planning_failed"
-            break
+            est = predict(est, planner_dt)
+            est, accepted = gated_update(
+                est, [det] if det is not None else [])
+            lost_time = 0.0 if accepted is not None else \
+                lost_time + planner_dt
+            if lost_time > p.lost_timeout:
+                return "target_missed"
+        lead = est.velocity * p.lead_time
+        lnorm = float(np.linalg.norm(lead))
+        if lnorm > p.standoff:  # fast targets: lead at most one standoff
+            lead *= p.standoff / lnorm
+        tgt = est.position + lead
+        delta = tgt - state.position
+        norm = np.linalg.norm(delta[:2])
+        if norm > 0.3:
+            goal_p = tgt - delta / np.linalg.norm(delta) * p.standoff
+        # a decelerating or turning target can pull the lead point
+        # behind itself; never command the pursuit inside min_standoff
+        away = (goal_p - est.position)[:2]
+        anorm = float(np.linalg.norm(away))
+        if anorm < p.min_standoff:
+            back = -delta[:2]
+            bnorm = float(np.linalg.norm(back))
+            direction = back / bnorm if bnorm > 1e-9 else \
+                (away / anorm if anorm > 1e-9 else np.array([-1.0, 0.0]))
+            goal_p = est.position + p.min_standoff * np.array(
+                [*direction, 0.0])
+        goal_p = np.array([goal_p[0], goal_p[1], p.flight_height])
+        yaw_cmd = plan_yaw(est.position, state.position, state.yaw,
+                           planner_dt, lost=lost_time > 0,
+                           last_bearing=yaw_cmd)
+        rel = R_cam.T @ (tgt_true - state.position)
+        log.in_fov.append(visible)
+        log.rel_xy.append(rel[:2])
+        log.target_dist.append(
+            float(np.linalg.norm((tgt_true - state.position)[:2])))
+        log.detected.append(det is not None)
+        return goal_p, yaw_cmd, "tracking", \
+            est.position if backend == "head" else None
+
+    def finished(state, t):  # a 1.5 s grace period after the evader's goal
+        nonlocal grace
         if evader.done:
             if grace is None:
                 grace = t + 1.5
             elif t >= grace:
-                break
+                return True
+        return False
 
-    final_dist = float(np.linalg.norm(
-        (evader.position - state.position)[:2]))
-    if failure is None and (not evader.done or final_dist > p.follow_distance):
-        failure = "target_missed"
-    success = failure is None
-    metrics = compute_metrics(log, arena.grid, success,
-                              failure or "none", final_dist)
-    if log_path is not None:
-        log.save_csv(log_path)
-    return metrics
+    def outcome(state, done):
+        final = float(np.linalg.norm((evader.position - state.position)[:2]))
+        return not evader.done or final > p.follow_distance, final
+
+    max_time = min(p.max_time, course_length / max(evader_speed, 0.5) + 20.0)
+    return _fly(arena, p, planner, state, yaw0, max_time, log_path, cycle,
+                finished, outcome, advance=evader.step)
 
 
 def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
@@ -774,59 +802,24 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
     p = params
     state = QuadState.hover([*start, p.flight_height], 0.0, p.mass)
     goal = np.array([start[0] + goal_distance, start[1], p.flight_height])
+
+    def distance(state):
+        return float(np.linalg.norm(goal - state.position))
+
     gdist, _, _ = arena.grid.query(goal, with_grad=False)
     if float(gdist) <= p.collision_radius:
-        empty = EpisodeLog(p.control_dt)
-        return compute_metrics(empty, arena.grid, False, "target_missed",
-                               float(np.linalg.norm(goal - state.position)),
+        return compute_metrics(EpisodeLog(p.control_dt), arena.grid, False,
+                               "target_missed", distance(state),
                                flags=("goal_unreachable",))
-    obs = ObserverState.initial(state.velocity, mass=p.mass)
     planner = _Planner(arena, p, backend, head)
-    log = EpisodeLog(p.control_dt)
     planner_dt = 1.0 / p.planner_rate
-    every = max(1, round(planner_dt / p.control_dt))
-    traj = None
-    t_plan = 0.0
-    yaw_cmd = 0.0
-    failure = None
-    reached = False
+
+    def cycle(state, t, yaw_cmd, log):
+        mode = "navigation" if distance(state) > p.lattice.r else "tracking"
+        yaw_cmd = plan_yaw(goal, state.position, state.yaw, planner_dt)
+        return goal, yaw_cmd, mode, None
+
     max_time = min(p.max_time * 2, 4.0 * goal_distance / p.v_max + 30.0)
-    n_max = int(max_time / p.control_dt)
-
-    for k in range(n_max):
-        t = k * p.control_dt
-        if k % every == 0:
-            dist_goal = float(np.linalg.norm(goal - state.position))
-            mode = "navigation" if dist_goal > p.lattice.r else "tracking"
-            yaw_cmd = plan_yaw(goal, state.position, state.yaw, planner_dt)
-            traj, cost, lat = planner.plan(state, goal, mode)
-            t_plan = t
-            log.latency_ms.append(lat)
-            log.chosen_cost.append(cost)
-        state, obs, cmd = _control_step(state, traj, t - t_plan, yaw_cmd,
-                                        obs, p)
-        log.t.append(t)
-        log.position.append(state.position.copy())
-        log.velocity.append(state.velocity.copy())
-        log.acceleration.append(state.acceleration.copy())
-        log.yaw.append(state.yaw)
-        log.thrust.append(cmd.thrust)
-        if _collided(state.position, arena, p.collision_radius):
-            failure = "planning_failed"
-            break
-        if planner.emergency and np.linalg.norm(state.velocity) < 0.2:
-            failure = "planning_failed"
-            break
-        if np.linalg.norm(goal - state.position) <= p.goal_radius:
-            reached = True
-            break
-
-    if failure is None and not reached:
-        failure = "target_missed"
-    success = failure is None
-    final = float(np.linalg.norm(goal - state.position))
-    metrics = compute_metrics(log, arena.grid, success, failure or "none",
-                              final)
-    if log_path is not None:
-        log.save_csv(log_path)
-    return metrics
+    return _fly(arena, p, planner, state, 0.0, max_time, log_path, cycle,
+                lambda state, t: distance(state) <= p.goal_radius,
+                lambda state, done: (not done, distance(state)))

@@ -1,23 +1,20 @@
-"""Runtime target-state maintenance and candidate selection.
+"""Runtime target-state maintenance and yaw planning.
 
 A constant-velocity Kalman filter tracks the target; candidate detections
 are gated by the position change a tentative update would cause, which
 suppresses false positives without predicting the target's future path.
-The executed trajectory is the minimum-predicted-cost candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "TargetEstimate",
-    "SelectionResult",
     "predict",
     "gated_update",
-    "select",
     "plan_yaw",
 ]
 
@@ -105,46 +102,6 @@ def gated_update(est: TargetEstimate, detections):
     I_KH = np.eye(6) - K @ _H
     P = I_KH @ est.P @ I_KH.T + K @ est.R_m @ K.T  # Joseph form
     return replace(est, x=x, P=P), best
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Chosen candidate and the committed detection of one planning cycle."""
-
-    chosen: int
-    predicted_cost: float
-    accepted_detection: int | None = None
-    estimate: TargetEstimate | None = None
-    lost: bool = False
-
-
-def select(candidate_costs, mode: str = "tracking",
-           objectness=None, detections=None,
-           est: TargetEstimate | None = None,
-           objectness_threshold: float = 0.5) -> SelectionResult:
-    """Filter detections by objectness, gate them, and pick the best trajectory.
-
-    candidate_costs are the predicted costs y_c; the trajectory choice is
-    their argmin regardless of detection outcome (ties break to the lowest
-    index). In tracking mode detections paired with objectness scores at or
-    above the threshold are passed through the gated Kalman update.
-    """
-    costs = np.asarray(candidate_costs, float)
-    if costs.size == 0:
-        raise ValueError("candidate list is empty")
-    chosen = int(np.argmin(costs))
-    accepted = None
-    if mode == "tracking" and est is not None and detections is not None:
-        scores = _sigmoid(np.asarray(objectness, float))
-        kept = [i for i in range(len(detections)) if scores[i] >= objectness_threshold]
-        est, accepted_local = gated_update(est, [detections[i] for i in kept])
-        accepted = kept[accepted_local] if accepted_local is not None else None
-    return SelectionResult(chosen, float(costs[chosen]), accepted, est,
-                           lost=accepted is None)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def plan_yaw(target_position, quad_position, current_yaw: float,

@@ -13,13 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "BoundaryDerivatives",
     "Trajectory",
-    "NormalizedState",
     "hermite_matrix",
     "evaluate",
-    "normalize_state",
-    "denormalize_state",
     "time_scaled_geometry_check",
 ]
 
@@ -30,27 +26,6 @@ _DERIV_FACTORS = {
     2: np.array([0.0, 0.0, 2.0, 6.0, 12.0, 20.0]),
     3: np.array([0.0, 0.0, 0.0, 6.0, 24.0, 60.0]),
 }
-
-
-@dataclass(frozen=True)
-class BoundaryDerivatives:
-    """Position / velocity / acceleration triple per axis (shape (3, 3)).
-
-    Rows are axes (x, y, z), columns are derivative orders (pos, vel, acc).
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """Stack into a (3, 3) array: rows axes, columns (p, v, a)."""
-        return np.stack(
-            [np.asarray(self.position, float),
-             np.asarray(self.velocity, float),
-             np.asarray(self.acceleration, float)],
-            axis=1,
-        )
 
 
 def power_row(t: float, order: int = 0) -> np.ndarray:
@@ -93,11 +68,6 @@ def hermite_matrix(horizon_T: float) -> np.ndarray:
     return M
 
 
-def endpoint_block(horizon_T: float) -> np.ndarray:
-    """Right 6x3 block of the Hermite matrix (coefficients from d_P)."""
-    return hermite_matrix(horizon_T)[:, 3:]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Quintic segment per axis: coefficients (3, 6) and horizon T > 0."""
@@ -114,14 +84,15 @@ class Trajectory:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_boundary(cls, d_F: BoundaryDerivatives | np.ndarray,
-                      d_P: BoundaryDerivatives | np.ndarray,
+    def from_boundary(cls, d_F: np.ndarray, d_P: np.ndarray,
                       horizon_T: float) -> "Trajectory":
-        """Solve coefficients from boundary derivatives at t=0 and t=T."""
-        dF = d_F.as_array() if isinstance(d_F, BoundaryDerivatives) else np.asarray(d_F, float)
-        dP = d_P.as_array() if isinstance(d_P, BoundaryDerivatives) else np.asarray(d_P, float)
+        """Solve coefficients from boundary derivatives at t=0 and t=T.
+
+        d_F and d_P are (3, 3): rows are axes, columns (pos, vel, acc).
+        """
         M = hermite_matrix(horizon_T)
-        d = np.concatenate([dF, dP], axis=1)  # (3, 6)
+        d = np.concatenate([np.asarray(d_F, float), np.asarray(d_P, float)],
+                           axis=1)  # (3, 6)
         return cls(d @ M.T, float(horizon_T))
 
     def boundary(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,40 +117,6 @@ def evaluate(traj: Trajectory, t: float, order: int = 0) -> np.ndarray:
     if not (0.0 <= t <= traj.horizon_T + 1e-12):
         raise ValueError(f"t={t} outside [0, {traj.horizon_T}]")
     return traj.coefficients @ power_row(t, order)
-
-
-@dataclass(frozen=True)
-class NormalizedState:
-    """Dimensionless velocity/acceleration under a speed-scaling ratio."""
-
-    velocity_n: np.ndarray
-    acceleration_n: np.ndarray
-    alpha: float
-    v_max: float
-    a_max: float
-
-
-def _check_scales(alpha: float, v_max: float, a_max: float) -> None:
-    if not (alpha > 0 and v_max > 0 and a_max > 0):
-        raise ValueError(
-            f"scales must be positive: alpha={alpha}, v_max={v_max}, a_max={a_max}")
-
-
-def normalize_state(velocity, acceleration, alpha: float,
-                    v_max: float, a_max: float) -> NormalizedState:
-    """Normalize a physical state: v/(alpha*v_max), a/(alpha^2*a_max)."""
-    _check_scales(alpha, v_max, a_max)
-    v = np.asarray(velocity, float)
-    a = np.asarray(acceleration, float)
-    return NormalizedState(v / (alpha * v_max), a / (alpha ** 2 * a_max),
-                           float(alpha), float(v_max), float(a_max))
-
-
-def denormalize_state(state: NormalizedState) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of normalize_state: physical (velocity, acceleration)."""
-    v = state.velocity_n * (state.alpha * state.v_max)
-    a = state.acceleration_n * (state.alpha ** 2 * state.a_max)
-    return v, a
 
 
 def time_scale(traj: Trajectory, alpha: float) -> Trajectory:

@@ -93,7 +93,13 @@ def test_pixel_to_cell_clipping():
 
 
 def test_intrinsics_matrix():
+    # the projection is the intrinsics matrix applied to the optical-frame
+    # point (right, down, forward)
     cam = CameraModel.from_fov(np.pi / 2, np.pi / 3)
-    K = cam.intrinsics
-    assert K[0, 0] == cam.fx and K[1, 1] == cam.fy
-    assert K[0, 2] == cam.cx and K[1, 2] == cam.cy and K[2, 2] == 1.0
+    K = np.array([[cam.fx, 0.0, cam.cx], [0.0, cam.fy, cam.cy],
+                  [0.0, 0.0, 1.0]])
+    p_c = np.array([4.0, -0.7, 0.3])  # forward, left, up
+    uvw = K @ np.array([-p_c[1], -p_c[2], p_c[0]])
+    u, v, depth = cam.project_camera(p_c)
+    assert np.isclose(u, uvw[0] / uvw[2]) and np.isclose(v, uvw[1] / uvw[2])
+    assert depth == p_c[0]

@@ -125,15 +125,42 @@ def test_tracking_batch_smoke(tmp_path, capsys):
     assert "success rate" in capsys.readouterr().out
 
 
-def test_bench_flies_the_run_nav_forest(tmp_path, monkeypatch):
-    from types import SimpleNamespace
+def test_trunk_radius_reaches_every_forest(tmp_path, monkeypatch):
     from primtrack import cli
-    seen = {}
-    monkeypatch.setattr(cli, "make_forest_arena",
-                        lambda seed, **kw: seen.update(kw, seed=seed))
-    monkeypatch.setattr(cli, "run_navigation_episode", lambda *a, **kw:
-                        SimpleNamespace(mean_latency_ms=1.0, success=True))
+    from primtrack.environment import build_esdf, load_cloud, load_esdf
+    from primtrack.simulator import EpisodeLog, compute_metrics
     ini = tmp_path / "run.ini"
-    ini.write_text("[simulator]\nmin_spacing = 4.0\n")
-    assert main(["bench", "--config", str(ini), "--out", str(tmp_path)]) == 0
-    assert seen["seed"] == 1000 and seen["min_spacing"] == 4.0
+    ini.write_text("[run]\nseeds = 0\n[simulator]\ntrunk_radius = 0.3\n")
+    out = tmp_path / "env"
+    assert main(["generate-env", "--config", str(ini), "--out", str(out)]) == 0
+    # the written field is the distance to the written cloud
+    cloud = load_cloud(out / "cloud.txt")
+    grid = load_esdf(out / "esdf.bin")
+    ref = build_esdf(cloud, grid.origin, grid.dims, grid.resolution)
+    assert np.allclose(grid.distance, ref.distance, atol=1e-5)
+    seen = []
+
+    def fake_episode(arena, *a, **kw):
+        seen.append(arena.trunk_radius)
+        return compute_metrics(EpisodeLog(0.005), arena.grid, True, "none",
+                               0.0)
+
+    monkeypatch.setattr(cli, "run_navigation_episode", fake_episode)
+    assert main(["run-nav", "--config", str(ini),
+                 "--out", str(tmp_path / "nav")]) == 0
+    assert seen == [0.3]
+
+
+def test_readme_commands_parse():
+    import re
+    import shlex
+    from pathlib import Path
+    from primtrack.cli import _build_parser
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = re.findall(r"^primtrack (.*)$", readme.read_text(), re.M)
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line.split("#")[0])
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        _build_parser().parse_args(argv)

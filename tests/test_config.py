@@ -1,11 +1,14 @@
 """Configuration schema: defaults, validation, round trips, builders."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from primtrack.config import RunConfig, example_text
+from primtrack import cli
+from primtrack.config import _SCHEMA, RunConfig, example_text
+from primtrack.simulator import make_forest_arena
 
 
 def test_defaults_round_trip_identity():
@@ -73,12 +76,15 @@ def test_sim_params_builder_applies_collision_override():
     assert p.detection.max_depth == 20.0
 
 
-def test_forest_spec_builder():
-    spec = RunConfig().forest_spec(seed=11)
-    assert spec.seed == 11
-    assert spec.min_spacing is None  # 0 disables the hard core
-    spec2 = RunConfig.loads("[simulator]\nmin_spacing = 4.0\n").forest_spec(0)
-    assert spec2.min_spacing == 4.0
+def test_forest_arena_builder():
+    clear = [(0.0, 0.0), (40.0, 0.0)]
+    arena = RunConfig().forest_arena(11, clear_points=clear)
+    ref = make_forest_arena(11, clear_points=clear)  # 0 disables the hard core
+    assert np.array_equal(arena.trunks, ref.trunks)
+    assert np.array_equal(arena.grid.distance, ref.grid.distance)
+    spaced = RunConfig.loads("[simulator]\nmin_spacing = 4.0\n").forest_arena(0)
+    gaps = np.linalg.norm(spaced.trunks[:, None] - spaced.trunks[None], axis=-1)
+    assert np.min(gaps + 1e9 * np.eye(len(gaps))) >= 4.0
 
 
 def test_cost_and_sampler_builders():
@@ -90,3 +96,47 @@ def test_cost_and_sampler_builders():
     s = cfg.sampler()
     assert s.v_m == 8.8
     assert cfg.hidden_sizes() == (64, 64)
+
+
+# Keys the command line reads itself, with the function that reads each.
+_READ_BY_CLI = {
+    ("simulator", "evader_speed"): cli._run_batch,
+    ("simulator", "course_length"): cli._run_batch,
+    ("simulator", "goal_distance"): cli._run_batch,
+    ("simulator", "switches"): cli._run_batch,
+}
+
+
+def _built(cfg: RunConfig, arena: bool):
+    """Everything the builders make from cfg, as comparable text."""
+    out = [cfg.lattice_config(), cfg.cost_weights(),
+           cfg.potential_params(1.25), cfg.sim_params(), cfg.sampler()]
+    text = repr(out)
+    if arena:
+        a = cfg.forest_arena(0)
+        text += repr((a.trunks.tolist(), a.trunk_radius, a.trunk_height,
+                      a.bounds, a.grid.dims, a.grid.resolution,
+                      float(a.grid.distance.sum())))
+    return text
+
+
+def _perturbed(value):
+    if isinstance(value, int):
+        return value + 1
+    return value * 0.8 if value else 1.0
+
+
+def test_every_model_key_reaches_a_consumer():
+    base = RunConfig()
+    cheap, full = _built(base, False), _built(base, True)
+    unread = []
+    for sec in ("lattice", "cost", "observer", "simulator", "sampler"):
+        for key, (default, _) in _SCHEMA[sec].items():
+            if (sec, key) in _READ_BY_CLI:
+                reader = inspect.getsource(_READ_BY_CLI[sec, key])
+                assert f'"{key}"' in reader, (sec, key)
+                continue
+            cfg = RunConfig({sec: {key: _perturbed(default)}})
+            if _built(cfg, False) == cheap and _built(cfg, True) == full:
+                unread.append(f"[{sec}] {key}")
+    assert not unread, unread

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from primtrack.control import (GRAVITY, Command, ObserverState,
-                               flatness_commands, observer_step,
-                               telemetry_row)
+                               flatness_commands, observer_step)
 
 _EZ = np.array([0.0, 0.0, 1.0])
 
@@ -87,13 +86,3 @@ def test_command_acceleration_inverts_dynamics():
     cmd = Command(R, 2.0 * GRAVITY)
     acc = cmd.acceleration(2.0, d_hat=np.array([0.0, 0.0, 1.0]))
     assert np.allclose(acc, [0.0, 0.0, 0.5], atol=1e-12)
-
-
-def test_telemetry_row_format():
-    cmd = flatness_commands(np.zeros(3), 0.0, np.zeros(3), 1.0)
-    obs = ObserverState.initial()
-    row = telemetry_row(0.25, np.zeros(3), cmd, obs)
-    vals = row.split(",")
-    assert len(vals) == 10
-    assert float(vals[0]) == 0.25
-    assert all(abs(float(v)) < 1e-5 for v in vals[1:])

@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from primtrack import kernels
 from primtrack.costs import (CostEngine, CostWeights, PotentialParams,
-                             chain_rule, chain_rule_batch, collision,
-                             cost_supervision, decode_raw_batch, goal,
-                             jerk_gram_matrix, smooth_l1, smooth_l1_grad,
-                             smoothness, total_loss)
+                             chain_rule_batch, collision, decode_raw_batch,
+                             goal, jerk_gram_matrix, smooth_l1,
+                             smooth_l1_grad, smoothness)
 from primtrack.environment import PointCloud, build_esdf
-from primtrack.primitives import LatticeConfig, PredictionVector, \
-    build_library
+from primtrack.primitives import LatticeConfig, build_library
 from primtrack.trajectory import Trajectory
 
 
@@ -169,20 +169,6 @@ def test_chain_rule_matches_finite_differences_no_grid():
             < 1e-6
 
 
-def test_chain_rule_single_matches_batch():
-    rng = np.random.default_rng(5)
-    cfg = LatticeConfig()
-    anchors = build_library(cfg)
-    a = anchors[4]
-    grad_dP = rng.normal(size=(3, 3))
-    raw = rng.normal(size=9) * 0.5
-    pred = PredictionVector(raw[0], raw[1], raw[2], raw[3:6], raw[6:9])
-    g1 = chain_rule(grad_dP, pred, a, cfg, 1.0, 8.0, 6.0)
-    g2 = chain_rule_batch(grad_dP[None], raw[None], [a.theta], [a.phi],
-                          [a.r], cfg, 1.0, 8.0, 6.0)[0]
-    assert np.allclose(g1, g2, atol=1e-12)
-
-
 def test_decode_raw_batch_zero_offsets_hit_anchors():
     cfg = LatticeConfig()
     anchors = build_library(cfg)
@@ -194,6 +180,30 @@ def test_decode_raw_batch_zero_offsets_hit_anchors():
         assert np.allclose(d_P[k, :, 0], a.endpoint, atol=1e-12)
     assert np.allclose(d_P[:, :, 1:], 0.0)
     assert np.allclose(rr, cfg.r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=arrays(float, (15, 9), elements=st.floats(-8.0, 8.0)),
+       alpha=st.floats(0.3, 3.0))
+def test_decode_raw_batch_bounded(raw, alpha):
+    cfg = LatticeConfig()
+    anchors = build_library(cfg)
+    v_max, a_max = 8.0, 6.0
+    d_P, _ = decode_raw_batch(raw, [a.theta for a in anchors],
+                              [a.phi for a in anchors],
+                              [a.r for a in anchors], cfg, alpha, v_max,
+                              a_max)
+    p = d_P[:, :, 0]
+    r = np.linalg.norm(p, axis=1)
+    assert np.all((r > 0.0) & (r < 2.0 * cfg.r))
+    th = np.arcsin(p[:, 2] / r)
+    ph = np.arctan2(p[:, 1], p[:, 0])
+    for k, a in enumerate(anchors):
+        assert abs(th[k] - a.theta) <= cfg.d_theta + 1e-9
+        assert abs(ph[k] - a.phi) <= cfg.d_phi + 1e-9
+    assert np.all(np.abs(d_P[:, :, 1]) < alpha * v_max)
+    assert np.all(np.abs(d_P[:, :, 2]) < alpha ** 2 * a_max)
+    assert np.allclose(d_P[:, :, 1], np.tanh(raw[:, 3:6]) * alpha * v_max)
 
 
 # -- engine consistency ---------------------------------------------------------
@@ -268,35 +278,6 @@ def test_smooth_l1_values_and_gradient():
     h = 1e-7
     fd = (smooth_l1(x + h) - smooth_l1(x - h)) / (2 * h)
     assert np.allclose(smooth_l1_grad(x), fd, atol=1e-6)
-
-
-def test_cost_supervision_modes():
-    w = CostWeights()
-    target_track = w.lambda_s * 1.0 + w.lambda_c * 2.0
-    assert np.isclose(cost_supervision(target_track, 1.0, 2.0, 9.0,
-                                       "tracking", w), 0.0)
-    target_nav = target_track + w.lambda_g * 9.0
-    assert np.isclose(cost_supervision(target_nav, 1.0, 2.0, 9.0,
-                                       "navigation", w), 0.0)
-    with pytest.raises(ValueError):
-        cost_supervision(0.0, 0.0, 0.0, 0.0, "other")
-
-
-def test_total_loss_label_weighting():
-    w = CostWeights()
-    entry = {"J_s": 1.0, "J_c": 2.0, "J_g": 3.0, "L_cost": 0.5,
-             "L_tgt": 0.7, "L_obj": 0.9}
-    traj = w.lambda_s * 1.0 + w.lambda_c * 2.0
-    pos = total_loss([dict(entry, label="positive")], "tracking", w)
-    assert np.isclose(pos, traj + w.lambda_g * 3.0 + 0.5 + 0.7 + 0.9)
-    ign = total_loss([dict(entry, label="ignored")], "tracking", w)
-    assert np.isclose(ign, w.lambda_1 * (traj + 0.5))
-    neg = total_loss([dict(entry, label="negative")], "tracking", w)
-    assert np.isclose(neg, w.lambda_1 * (traj + 0.5) + w.lambda_2 * 0.9)
-    nav = total_loss([entry], "navigation", w)
-    assert np.isclose(nav, traj + w.lambda_g * 3.0 + 0.5)
-    with pytest.raises(ValueError):
-        total_loss([dict(entry, label="bogus")], "tracking", w)
 
 
 def test_cost_weights_validation():

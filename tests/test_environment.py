@@ -28,12 +28,6 @@ def test_point_cloud_validation():
     assert len(PointCloud(np.zeros((0, 3)))) == 0
 
 
-def test_point_cloud_dedup():
-    pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.01, 0.01], [1.0, 0.0, 0.0]])
-    cloud = PointCloud.from_points(pts, dedup_resolution=0.1)
-    assert len(cloud) == 2
-
-
 # -- forests -------------------------------------------------------------------
 
 def test_forest_deterministic_per_seed():

@@ -11,12 +11,10 @@ from primtrack.costs import (CostEngine, CostWeights, chain_rule_batch,
 from primtrack.environment import PointCloud, build_esdf
 from primtrack.policy import (FrustumFeatures, HeadOptimizer, PolicyHead,
                               StateSampler, assign_samples, backward_and_step,
-                              compute_features, decode_target,
-                              detection_losses, frame_loss_and_grad,
-                              load_head, refine, refiner_predictions,
-                              sample_training_state, save_head)
-from primtrack.primitives import LatticeConfig, PredictionVector, \
-    build_library
+                              compute_features, frame_loss_and_grad,
+                              load_head, refine, sample_training_state,
+                              save_head)
+from primtrack.primitives import LatticeConfig, build_library
 
 
 def _engine(grid, goal, use_kernel=True, mode="tracking", weights=None):
@@ -98,15 +96,6 @@ def test_refine_warm_start_and_step_validation():
         refine(eng, steps=0)
     with pytest.raises(ValueError):
         refine(eng, max_backtracks=5)
-
-
-def test_refiner_predictions_carry_realized_cost():
-    eng = _engine(None, np.array([4.0, 0.0, 1.5]))
-    results = refiner_predictions(eng, eng.cfg, steps=5)
-    assert len(results) == 15
-    w = eng.weights
-    for pred, bd in results:
-        assert np.isclose(pred.y_c, bd.weighted(w), rtol=1e-9)
 
 
 # -- head forward/backward ---------------------------------------------------------
@@ -228,7 +217,7 @@ def test_compute_features_state_rows_rotate_per_cell():
     assert not np.allclose(feats[0, 3:6], feats[14, 3:6])
 
 
-# -- labels and detection losses ------------------------------------------------------
+# -- detection labels -----------------------------------------------------------------
 
 def test_assign_samples_geometry():
     cfg = LatticeConfig()
@@ -240,7 +229,6 @@ def test_assign_samples_geometry():
     ring = [k for k, l in enumerate(asg.labels) if l == "ignored"]
     assert len(ring) == 8  # full Chebyshev-1 ring around the center
     assert asg.labels.count("negative") == cfg.n_cells - 9
-    assert asg.label_of(7) == "positive"
 
 
 def test_assign_samples_no_target_or_hidden():
@@ -255,40 +243,6 @@ def test_assign_samples_no_target_or_hidden():
     asg = assign_samples(np.array([4.5, 0.0, 1.5]), cam, cfg,
                          grid=_obstacle_grid(), occupancy_threshold=0.3)
     assert asg.positive is None
-
-
-def test_decode_target_pixel_inside_cell():
-    cfg = LatticeConfig()
-    cam = CameraModel.for_lattice(cfg)
-    pred = PredictionVector(y_du=0.3, y_dv=-2.0, y_d=3.0)
-    (u, v), world = decode_target(pred, (2, 1), cam)
-    assert 2 * cam.ds < u < 3 * cam.ds
-    assert 1 * cam.ds < v < 2 * cam.ds
-    assert world is not None
-    uu, vv, depth = cam.project_world(world)
-    assert np.isclose(uu, u) and np.isclose(vv, v) and np.isclose(depth, 3.0)
-    (_, _), none_world = decode_target(PredictionVector(y_d=-1.0), (2, 1), cam)
-    assert none_world is None
-
-
-def test_detection_losses_match_duplicate_formula():
-    cfg = LatticeConfig()
-    cam = CameraModel.for_lattice(cfg)
-    pred = PredictionVector(y_o=0.4, y_du=0.2, y_dv=-0.3, y_d=3.5)
-    target_cam = np.array([3.4, 0.2, -0.1])
-    cell = anchor_to_cell(2, 1, cfg)
-    l_tgt, l_obj = detection_losses(pred, "positive", target_cam, cam, cell)
-    (u, v), _ = decode_target(pred, cell, cam)
-    ref_tgt = float(np.sum(smooth_l1(cam.unproject_camera(u, v, pred.y_d)
-                                     - target_cam)))
-    p = 1.0 / (1.0 + np.exp(-pred.y_o))
-    assert np.isclose(l_tgt, ref_tgt)
-    assert np.isclose(l_obj, -np.log(p))
-    _, l_neg = detection_losses(pred, "negative", None, cam, cell)
-    assert np.isclose(l_neg, -np.log(1 - p))
-    assert detection_losses(pred, "ignored", None, cam, cell) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        detection_losses(pred, "positive", None, cam, cell)
 
 
 # -- state sampling -----------------------------------------------------------------
@@ -327,8 +281,6 @@ def test_sampler_matches_empirical_histogram():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         StateSampler(v_m=0.0)
-    s = StateSampler.for_limits(8.0, 6.0)
-    assert np.isclose(s.v_m, 8.8) and np.isclose(s.acc_std, 1.8)
 
 
 # -- end-to-end gradient -------------------------------------------------------------
@@ -395,6 +347,95 @@ def _composable_frame_loss(y, engine, cfg, assignment, mode):
                             + smooth_l1(resid))) \
         + np.sum(w.lambda_g * J_g[goal_on])
     return float(loss), dLdy
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _decoded_pixel(y_k, cell, cam):
+    """Pixel of a cell's target detection: sigmoid offsets within the cell."""
+    col, row = cell
+    return ((_sigmoid(y_k[11]) + col) * cam.ds,
+            (_sigmoid(y_k[12]) + row) * cam.ds)
+
+
+def _detection_loss(y_k, label, target_cam, cam, cell, weights):
+    """Detection terms of one cell's outputs: objectness cross-entropy,
+    weighted by lambda_2 on negative cells, plus a smooth-L1 on the
+    camera-frame target on the positive cell; nothing on ignored cells."""
+    p = _sigmoid(y_k[10])
+    if label == "negative":
+        return weights.lambda_2 * -np.log(1.0 - p)
+    if label == "ignored":
+        return 0.0
+    u, v = _decoded_pixel(y_k, cell, cam)
+    p_c = cam.unproject_camera(u, v, y_k[13])
+    return -np.log(p) + float(np.sum(smooth_l1(p_c - target_cam)))
+
+
+def _tracking_frame(cfg):
+    cam = CameraModel.for_lattice(cfg).with_pose(np.eye(3),
+                                                 np.array([0.0, 0.0, 1.5]))
+    target = np.array([4.0, 0.3, 1.6])
+    eng = _engine(_obstacle_grid(), target, use_kernel=False)
+    return cam, target, eng, assign_samples(target, cam, cfg)
+
+
+def _cell(k, cfg):
+    return anchor_to_cell(*divmod(k, cfg.m_theta), cfg)
+
+
+def test_detection_losses_match_duplicate_formula():
+    cfg = LatticeConfig()
+    cam, target, eng, asg = _tracking_frame(cfg)
+    target_cam = cam.world_to_camera(target)
+    y = np.random.default_rng(17).normal(size=(15, 14)) * 0.5
+    y[:, 13] += 4.0  # depths near the target's
+    loss, _ = frame_loss_and_grad(y, eng, cfg, cam, asg, target_world=target)
+    terms = [_detection_loss(y[k], label, target_cam, cam, _cell(k, cfg),
+                             eng.weights)
+             for k, label in enumerate(asg.labels)]
+    # the trajectory part of the loss depends on y[:, :10] only
+    traj, _ = _composable_frame_loss(y, eng, cfg, asg, "tracking")
+    assert np.isclose(loss - traj, sum(terms), rtol=1e-10)
+    # one cell of each label, its detection outputs changed alone
+    for label in ("positive", "negative", "ignored"):
+        k = asg.labels.index(label)
+        y2 = y.copy()
+        y2[k, 10:] = [-1.3, 0.8, -0.4, 2.5]
+        loss2, _ = frame_loss_and_grad(y2, eng, cfg, cam, asg,
+                                       target_world=target)
+        new = _detection_loss(y2[k], label, target_cam, cam, _cell(k, cfg),
+                              eng.weights)
+        assert np.isclose(loss2 - loss, new - terms[k], rtol=1e-9,
+                          atol=1e-9), label
+
+
+def test_decode_target_pixel_inside_cell():
+    cfg = LatticeConfig()
+    cam, target, eng, asg = _tracking_frame(cfg)
+    for logits in ((0.3, -2.0), (-8.0, 8.0), (8.0, -8.0)):
+        u, v = _decoded_pixel(np.r_[np.zeros(11), logits, 3.0], (2, 1), cam)
+        assert 2 * cam.ds < u < 3 * cam.ds
+        assert 1 * cam.ds < v < 2 * cam.ds
+    # logits and depth that decode to the target's own pixel, inside the
+    # positive cell: the loss keeps only the objectness terms at p = 1/2
+    k = asg.positive
+    col, row = _cell(k, cfg)
+    u, v, depth = cam.project_world(target)
+    frac = np.array([u / cam.ds - col, v / cam.ds - row])
+    assert np.all((frac > 0.0) & (frac < 1.0))
+    y = np.zeros((15, 14))
+    y[k, 11:13] = np.log(frac / (1.0 - frac))
+    y[k, 13] = depth
+    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
+                                     target_world=target)
+    traj, _ = _composable_frame_loss(y, eng, cfg, asg, "tracking")
+    n_neg = asg.labels.count("negative")
+    obj = (1.0 + eng.weights.lambda_2 * n_neg) * np.log(2.0)
+    assert np.isclose(loss - traj, obj, rtol=1e-9)
+    assert np.allclose(dLdy[k, 11:], 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["navigation", "tracking"])

@@ -1,12 +1,10 @@
-"""Anchor lattice geometry and the tanh offset / derivative decoding."""
+"""Anchor lattice geometry, spherical endpoints, and the planning horizon."""
 
 import numpy as np
 import pytest
 
-from primtrack.primitives import (LatticeConfig, PredictionVector,
-                                  build_library, decode_derivatives,
-                                  decode_offsets, horizon, spherical_endpoint,
-                                  spherical_jacobian)
+from primtrack.primitives import (LatticeConfig, build_library, horizon,
+                                  spherical_endpoint, spherical_jacobian)
 
 
 def test_spherical_endpoint_known_points():
@@ -91,55 +89,9 @@ def test_build_library_layout():
     assert sorted(a.flat_index(cfg) for a in anchors) == list(range(15))
 
 
-def test_decode_offsets_bounded():
-    cfg = LatticeConfig()
-    anchor = build_library(cfg)[7]
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        pred = PredictionVector(*rng.normal(size=3) * 2)
-        p = decode_offsets(anchor, pred, cfg)
-        r = np.linalg.norm(p)
-        assert 0.0 < r < 2.0 * anchor.r
-        th = np.arcsin(p[2] / r)
-        ph = np.arctan2(p[1], p[0])
-        assert abs(th - anchor.theta) <= cfg.d_theta + 1e-9
-        assert abs(ph - anchor.phi) <= cfg.d_phi + 1e-9
-
-
-def test_decode_offsets_zero_is_anchor():
-    cfg = LatticeConfig()
-    for anchor in build_library(cfg):
-        p = decode_offsets(anchor, PredictionVector(), cfg)
-        assert np.allclose(p, anchor.endpoint, atol=1e-12)
-
-
-def test_decode_derivatives_bounds_and_scaling():
-    rng = np.random.default_rng(3)
-    alpha, v_max, a_max = 1.3, 8.0, 6.0
-    for _ in range(100):
-        pred = PredictionVector(y_v=rng.normal(size=3) * 5,
-                                y_a=rng.normal(size=3) * 5)
-        vel, acc = decode_derivatives(pred, alpha, v_max, a_max)
-        assert np.all(np.abs(vel) < alpha * v_max)
-        assert np.all(np.abs(acc) < alpha**2 * a_max)
-        assert np.allclose(vel, np.tanh(pred.y_v) * alpha * v_max)
-    with pytest.raises(ValueError):
-        decode_derivatives(PredictionVector(), 0.0, v_max, a_max)
-
-
 def test_horizon_formula():
     cfg = LatticeConfig()
     assert np.isclose(horizon(cfg, 1.0, 8.0), 2 * cfg.r / 8.0)
     assert np.isclose(horizon(cfg, 2.0, 4.0), 2 * cfg.r / 8.0)
     with pytest.raises(ValueError):
         horizon(cfg, -1.0, 8.0)
-
-
-def test_prediction_vector_array_round_trip():
-    rng = np.random.default_rng(4)
-    y = rng.normal(size=14)
-    pred = PredictionVector.from_array(y)
-    assert np.allclose(pred.as_array(), y, atol=1e-15)
-    assert pred.y_c == y[9] and pred.y_o == y[10] and pred.y_d == y[13]
-    with pytest.raises(ValueError):
-        PredictionVector.from_array(np.zeros(13))

@@ -1,10 +1,10 @@
-"""Constant-velocity filtering, gated updates, candidate selection, yaw."""
+"""Constant-velocity filtering, gated updates, yaw planning."""
 
 import numpy as np
 import pytest
 
-from primtrack.tracker import (SelectionResult, TargetEstimate, gated_update,
-                               plan_yaw, predict, process_noise, select)
+from primtrack.tracker import (TargetEstimate, gated_update, plan_yaw,
+                               predict, process_noise)
 
 
 def test_process_noise_matches_analytic_integral():
@@ -60,28 +60,6 @@ def test_gated_update_covariance_stays_symmetric_psd():
         est, _ = gated_update(est, [est.position + rng.normal(0, 0.2, 3)])
         assert np.allclose(est.P, est.P.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(est.P) > 0)
-
-
-def test_select_argmin_and_tie_break():
-    r = select([3.0, 1.0, 2.0], mode="navigation")
-    assert isinstance(r, SelectionResult)
-    assert r.chosen == 1 and r.predicted_cost == 1.0
-    assert select([2.0, 1.0, 1.0], mode="navigation").chosen == 1
-    with pytest.raises(ValueError):
-        select([], mode="navigation")
-
-
-def test_select_objectness_filtering_and_gating():
-    est = TargetEstimate.from_position([0.0, 0.0, 1.5])
-    dets = [np.array([20.0, 0.0, 1.5]), np.array([0.1, 0.0, 1.5])]
-    # second detection is consistent but its objectness is below threshold
-    r = select([1.0, 2.0], mode="tracking", objectness=[3.0, -3.0],
-               detections=dets, est=est)
-    assert r.accepted_detection is None and r.lost
-    r2 = select([1.0, 2.0], mode="tracking", objectness=[3.0, 3.0],
-                detections=dets, est=est)
-    assert r2.accepted_detection == 1 and not r2.lost
-    assert np.linalg.norm(r2.estimate.position - dets[1]) < 0.2
 
 
 def test_plan_yaw_rate_limited_and_wrapped():

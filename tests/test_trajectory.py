@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from primtrack.trajectory import (BoundaryDerivatives, NormalizedState,
-                                  Trajectory, denormalize_state,
-                                  endpoint_block, evaluate, hermite_matrix,
-                                  normalize_state, power_row, time_scale,
+from primtrack.trajectory import (Trajectory, evaluate, hermite_matrix,
+                                  power_row, time_scale,
                                   time_scaled_geometry_check)
 
 
@@ -41,11 +39,6 @@ def test_hermite_matrix_rejects_nonpositive_horizon():
         hermite_matrix(-1.0)
 
 
-def test_endpoint_block_is_right_half():
-    T = 1.25
-    assert np.array_equal(endpoint_block(T), hermite_matrix(T)[:, 3:])
-
-
 def test_boundary_round_trip_random():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -56,17 +49,6 @@ def test_boundary_round_trip_random():
         rF, rP = traj.boundary()
         assert np.allclose(rF, d_F, atol=1e-9)
         assert np.allclose(rP, d_P, atol=1e-9)
-
-
-def test_boundary_derivatives_dataclass():
-    bd = BoundaryDerivatives([1, 2, 3], [4, 5, 6], [7, 8, 9])
-    arr = bd.as_array()
-    assert arr.shape == (3, 3)
-    assert np.array_equal(arr[:, 0], [1, 2, 3])
-    assert np.array_equal(arr[:, 2], [7, 8, 9])
-    traj = Trajectory.from_boundary(bd, bd, 1.0)
-    rF, _ = traj.boundary()
-    assert np.allclose(rF, arr, atol=1e-12)
 
 
 def test_evaluate_bounds_and_shapes():
@@ -116,23 +98,3 @@ def test_time_scale_rejects_nonpositive():
     traj = Trajectory.from_boundary(np.zeros((3, 3)), np.eye(3), 1.0)
     with pytest.raises(ValueError):
         time_scale(traj, 0.0)
-
-
-def test_normalize_denormalize_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        v = rng.normal(size=3) * 5
-        a = rng.normal(size=3) * 4
-        alpha, v_max, a_max = rng.uniform(0.3, 3.0, 3)
-        st = normalize_state(v, a, alpha, v_max, a_max)
-        assert isinstance(st, NormalizedState)
-        rv, ra = denormalize_state(st)
-        assert np.allclose(rv, v, atol=1e-12)
-        assert np.allclose(ra, a, atol=1e-12)
-
-
-def test_normalize_rejects_bad_scales():
-    with pytest.raises(ValueError):
-        normalize_state(np.zeros(3), np.zeros(3), 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        normalize_state(np.zeros(3), np.zeros(3), 1.0, -1.0, 1.0)
