@@ -213,6 +213,8 @@ def decode_raw_batch(raw: np.ndarray, thetas, phis, radii,
     thetas/phis/radii are per-candidate anchor parameters; rotation/position
     place the camera in the world (identity/origin when omitted).
     """
+    if not (alpha > 0 and v_max > 0 and a_max > 0):
+        raise ValueError("scales must be positive")
     raw = np.atleast_2d(np.asarray(raw, float))
     y = np.tanh(raw)
     th = np.asarray(thetas, float) + y[:, 0] * cfg.d_theta

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from primtrack import kernels
 from primtrack.costs import (CostEngine, CostWeights, PotentialParams,
@@ -180,30 +178,6 @@ def test_decode_raw_batch_zero_offsets_hit_anchors():
         assert np.allclose(d_P[k, :, 0], a.endpoint, atol=1e-12)
     assert np.allclose(d_P[:, :, 1:], 0.0)
     assert np.allclose(rr, cfg.r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(raw=arrays(float, (15, 9), elements=st.floats(-8.0, 8.0)),
-       alpha=st.floats(0.3, 3.0))
-def test_decode_raw_batch_bounded(raw, alpha):
-    cfg = LatticeConfig()
-    anchors = build_library(cfg)
-    v_max, a_max = 8.0, 6.0
-    d_P, _ = decode_raw_batch(raw, [a.theta for a in anchors],
-                              [a.phi for a in anchors],
-                              [a.r for a in anchors], cfg, alpha, v_max,
-                              a_max)
-    p = d_P[:, :, 0]
-    r = np.linalg.norm(p, axis=1)
-    assert np.all((r > 0.0) & (r < 2.0 * cfg.r))
-    th = np.arcsin(p[:, 2] / r)
-    ph = np.arctan2(p[:, 1], p[:, 0])
-    for k, a in enumerate(anchors):
-        assert abs(th[k] - a.theta) <= cfg.d_theta + 1e-9
-        assert abs(ph[k] - a.phi) <= cfg.d_phi + 1e-9
-    assert np.all(np.abs(d_P[:, :, 1]) < alpha * v_max)
-    assert np.all(np.abs(d_P[:, :, 2]) < alpha ** 2 * a_max)
-    assert np.allclose(d_P[:, :, 1], np.tanh(raw[:, 3:6]) * alpha * v_max)
 
 
 # -- engine consistency ---------------------------------------------------------

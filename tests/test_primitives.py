@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from primtrack.costs import decode_raw_batch
 from primtrack.primitives import (LatticeConfig, build_library, horizon,
                                   spherical_endpoint, spherical_jacobian)
 
@@ -87,6 +90,41 @@ def test_build_library_layout():
         assert np.allclose(a.endpoint,
                            spherical_endpoint(a.theta, a.phi, cfg.r))
     assert sorted(a.flat_index(cfg) for a in anchors) == list(range(15))
+
+
+def _decode(raw, cfg, alpha, v_max=8.0, a_max=6.0):
+    anchors = build_library(cfg)
+    return decode_raw_batch(raw, [a.theta for a in anchors],
+                            [a.phi for a in anchors], [a.r for a in anchors],
+                            cfg, alpha, v_max, a_max)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=arrays(float, (15, 9), elements=st.floats(-8.0, 8.0)))
+def test_decode_offsets_bounded(raw):
+    cfg = LatticeConfig()
+    p = _decode(raw, cfg, 1.0)[:, :, 0]
+    r = np.linalg.norm(p, axis=1)
+    assert np.all((r > 0.0) & (r < 2.0 * cfg.r))
+    th = np.arcsin(p[:, 2] / r)
+    ph = np.arctan2(p[:, 1], p[:, 0])
+    for k, a in enumerate(build_library(cfg)):
+        assert abs(th[k] - a.theta) <= cfg.d_theta + 1e-9
+        assert abs(ph[k] - a.phi) <= cfg.d_phi + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=arrays(float, (15, 9), elements=st.floats(-8.0, 8.0)),
+       alpha=st.floats(0.3, 3.0))
+def test_decode_derivatives_bounds_and_scaling(raw, alpha):
+    cfg = LatticeConfig()
+    v_max, a_max = 8.0, 6.0
+    d_P = _decode(raw, cfg, alpha, v_max, a_max)
+    assert np.all(np.abs(d_P[:, :, 1]) < alpha * v_max)
+    assert np.all(np.abs(d_P[:, :, 2]) < alpha ** 2 * a_max)
+    assert np.allclose(d_P[:, :, 1], np.tanh(raw[:, 3:6]) * alpha * v_max)
+    with pytest.raises(ValueError):
+        _decode(raw, cfg, 0.0, v_max, a_max)
 
 
 def test_horizon_formula():
