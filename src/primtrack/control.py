@@ -8,6 +8,7 @@ commanded thrust so it can be compensated in the command computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,13 +52,17 @@ def flatness_commands(acc_des, yaw: float, d_hat, mass: float,
     acc_des = np.asarray(acc_des, float)
     d_hat = np.asarray(d_hat, float)
     F = acc_des - d_hat / mass + GRAVITY * _EZ  # specific force, m/s^2
-    norm_F = float(np.linalg.norm(F))
+    # norms and cross products of 3-vectors written out (np.linalg.norm of
+    # a vector is the square root of its dot product with itself)
+    norm_F = math.sqrt(F.dot(F))
     if norm_F < eps:
         raise ValueError("degenerate (free-fall) thrust command")
     R_z = F / norm_F
-    heading = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-    y_axis = np.cross(R_z, heading)
-    ny = float(np.linalg.norm(y_axis))
+    zx, zy, zz = R_z.tolist()
+    hx, hy, hz = float(np.cos(yaw)), float(np.sin(yaw)), 0.0  # heading
+    y_axis = np.array([zy * hz - zz * hy, zz * hx - zx * hz,
+                       zx * hy - zy * hx])
+    ny = math.sqrt(y_axis.dot(y_axis))
     if ny < eps:
         if prev_body_y is None:
             raise ValueError("thrust direction parallel to heading; "
@@ -67,8 +72,10 @@ def flatness_commands(acc_des, yaw: float, d_hat, mass: float,
         y_axis /= np.linalg.norm(y_axis)
     else:
         y_axis /= ny
-    x_axis = np.cross(y_axis, R_z)
-    R = np.column_stack([x_axis, y_axis, R_z])
+    yx, yy, yz = y_axis.tolist()
+    R = np.array([[yy * zz - yz * zy, yx, zx],
+                  [yz * zx - yx * zz, yy, zy],
+                  [yx * zy - yy * zx, yz, zz]])  # columns x = y cross z, y, z
     return Command(R, mass * norm_F)
 
 

@@ -130,11 +130,20 @@ class EsdfGrid:
             raise ValueError("distance grid must be 3-D with dims >= 2")
         object.__setattr__(self, "distance", dist)
         ny, nz = dist.shape[1], dist.shape[2]
+        # query constants: the flat field, its x and y strides, the eight
+        # corner offsets of a cell, and the origin and lattice bounds as
+        # columns (queries work on coordinates of shape (3, N))
         object.__setattr__(self, "_flat", np.ascontiguousarray(dist).ravel())
-        object.__setattr__(self, "_strides", np.array([ny * nz, nz, 1]))
+        object.__setattr__(self, "_s0", ny * nz)
+        object.__setattr__(self, "_s1", nz)
         off = np.array([0, 1, nz, nz + 1,
                         ny * nz, ny * nz + 1, ny * nz + nz, ny * nz + nz + 1])
-        object.__setattr__(self, "_corner_off", off)
+        object.__setattr__(self, "_corner_off", off[:, None])
+        object.__setattr__(self, "_origin_col", self.origin[:, None])
+        hi = np.array(dist.shape, float)[:, None] - 1.0
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_hi_band", hi + 1e-12)
+        object.__setattr__(self, "_hi_cell", np.array(dist.shape)[:, None] - 2)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -151,28 +160,36 @@ class EsdfGrid:
 
     # -- interpolation ----------------------------------------------------
 
+    def _cells(self, u: np.ndarray) -> np.ndarray:
+        """Low corners (3, N) of the cells holding lattice coordinates u."""
+        i = np.floor(u).astype(np.intp)
+        return np.minimum(np.maximum(i, 0, out=i), self._hi_cell, out=i)
+
     def _gather(self, i0: np.ndarray) -> np.ndarray:
-        """Corner values of the cells with low corner i0, shape (N, 8)."""
-        base = i0 @ self._strides
-        return self._flat[base[:, None] + self._corner_off]
+        """Corner values (8, N) of the cells with low corners i0 (3, N)."""
+        base = i0[0] * self._s0 + i0[1] * self._s1 + i0[2]
+        return self._flat.take(self._corner_off + base)
 
     @staticmethod
-    def _cell_eval(c: np.ndarray, f: np.ndarray):
-        """Trilinear value and in-cell derivative (lattice units) from corners.
+    def _cell_eval(c: np.ndarray, f: np.ndarray, with_grad: bool = True):
+        """Trilinear value and in-cell derivative (lattice units, (N, 3), or
+        None without the gradient) from corners c (8, N) at offsets f (3, N).
 
-        Corner column order follows (x, y, z) bits: 000, 001, 010, ... 111.
+        Corner row order follows (x, y, z) bits: 000, 001, 010, ... 111.
         """
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-        a = c[:, ::2] * gz[:, None] + c[:, 1::2] * fz[:, None]  # (N, 4)
-        v0 = a[:, 0] * gy + a[:, 1] * fy
-        v1 = a[:, 2] * gy + a[:, 3] * fy
+        fx, fy, fz = f
+        gx, gy, gz = 1.0 - f
+        a = c[::2] * gz + c[1::2] * fz  # (4, N)
+        v0 = a[0] * gy + a[1] * fy
+        v1 = a[2] * gy + a[3] * fy
         val = v0 * gx + v1 * fx
-        grad = np.empty_like(f)
+        if not with_grad:
+            return val, None
+        grad = np.empty((len(val), 3))
         grad[:, 0] = v1 - v0
-        grad[:, 1] = (a[:, 1] - a[:, 0]) * gx + (a[:, 3] - a[:, 2]) * fx
-        dz0 = (c[:, 1] - c[:, 0]) * gy + (c[:, 3] - c[:, 2]) * fy
-        dz1 = (c[:, 5] - c[:, 4]) * gy + (c[:, 7] - c[:, 6]) * fy
+        grad[:, 1] = (a[1] - a[0]) * gx + (a[3] - a[2]) * fx
+        dz0 = (c[1] - c[0]) * gy + (c[3] - c[2]) * fy
+        dz1 = (c[5] - c[4]) * gy + (c[7] - c[6]) * fy
         grad[:, 2] = dz0 * gx + dz1 * fx
         return val, grad
 
@@ -182,35 +199,47 @@ class EsdfGrid:
         The gradient is the spatial derivative of the trilinear interpolant:
         exact inside a cell, the average of the two one-sided slopes on
         shared cell faces (a central difference of neighbors at voxel
-        centers). Clamped (out-of-band) queries return the boundary value
-        with zero gradient along the clamped axes. with_grad=False skips the
-        gradient (returned as None).
+        centers). The value does not depend on with_grad: it is read from
+        the cell that holds the point, the upper one on a face. Clamped
+        (out-of-band) queries return the boundary value with zero gradient
+        along the clamped axes. with_grad=False skips the gradient
+        (returned as None).
         """
         p = np.asarray(p, float)
         shape = p.shape[:-1]
-        P = p.reshape(-1, 3)
-        hi = np.array(self.dims, float) - 1.0
-        u_raw = (P - self.origin) / self.resolution - 0.5
-        oob_ax = (u_raw < -1e-12) | (u_raw > hi + 1e-12)
-        oob = np.any(oob_ax, axis=-1)
-        u = np.clip(u_raw, 0.0, hi)
-        hi_cell = np.array(self.dims) - 2
+        # lattice coordinates, one row per axis
+        u = np.subtract(p.reshape(-1, 3).T, self._origin_col, order="C")
+        u /= self.resolution
+        u -= 0.5
+        oob_ax = (u < -1e-12) | (u > self._hi_band)
+        oob = (oob_ax[0] | oob_ax[1] | oob_ax[2]).reshape(shape)
+        np.minimum(np.maximum(u, 0.0, out=u), self._hi, out=u)
         if not with_grad:
-            i0 = np.clip(np.floor(u).astype(np.intp), 0, hi_cell)
-            val, _ = self._cell_eval(self._gather(i0), u - i0)
-            return val.reshape(shape), None, oob.reshape(shape)
+            i0 = self._cells(u)
+            val, _ = self._cell_eval(self._gather(i0), u - i0, False)
+            return val.reshape(shape), None, oob
         h = 1e-3  # lattice units; selects the two cells sharing a face
-        im = np.clip(np.floor(u - h).astype(np.intp), 0, hi_cell)
-        ip = np.clip(np.floor(u + h).astype(np.intp), 0, hi_cell)
-        val, grad = self._cell_eval(self._gather(im), u - im)
-        mixed = np.any(im != ip, axis=1)
-        if mixed.any():
-            _, gp = self._cell_eval(self._gather(ip[mixed]),
-                                    u[mixed] - ip[mixed])
-            grad[mixed] = 0.5 * (grad[mixed] + gp)
+        im = self._cells(u - h)
+        ip = self._cells(u + h)
+        split = im != ip
+        mixed = np.flatnonzero(split[0] | split[1] | split[2])
+        n, k = u.shape[1], len(mixed)
+        cells, at = im, u
+        if k:
+            # a point near a face also needs the upper cell's slope, and its
+            # value from the cell the gradient-free query reads: all three
+            # kinds of column go through one batch
+            um = u[:, mixed]
+            cells = np.concatenate([im, ip[:, mixed], self._cells(um)], axis=1)
+            at = np.concatenate([u, um, um], axis=1)
+        val, grad = self._cell_eval(self._gather(cells), at - cells)
+        if k:
+            grad[mixed] = 0.5 * (grad[mixed] + grad[n:n + k])
+            val[mixed] = val[n + k:]
+            val, grad = val[:n], grad[:n]
         grad /= self.resolution
-        grad[oob_ax] = 0.0
-        return val.reshape(shape), grad.reshape(p.shape), oob.reshape(shape)
+        grad[oob_ax.T] = 0.0
+        return val.reshape(shape), grad.reshape(p.shape), oob
 
 
 def build_esdf(cloud: PointCloud, origin, dims, resolution: float,

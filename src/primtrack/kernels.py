@@ -27,6 +27,19 @@ except ImportError:  # pragma: no cover - numba is an optional speedup
 
 
 @njit(cache=True)
+def _trilinear(flat, base, sxy, nz, fx, fy, fz):
+    """Trilinear value in the cell whose low corner has flat index base."""
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    gz = 1.0 - fz
+    a0 = flat[base] * gz + flat[base + 1] * fz
+    a1 = flat[base + nz] * gz + flat[base + nz + 1] * fz
+    a2 = flat[base + sxy] * gz + flat[base + sxy + 1] * fz
+    a3 = flat[base + sxy + nz] * gz + flat[base + sxy + nz + 1] * fz
+    return (a0 * gy + a1 * fy) * gx + (a2 * gy + a3 * fy) * fx
+
+
+@njit(cache=True)
 def eval_batch(raw, anchor_th, anchor_ph, anchor_rr, d_theta, d_phi,
                d_F, B, Mt, powers, P, R, position, goal_p,
                vel_scale, acc_scale,
@@ -162,6 +175,14 @@ def eval_batch(raw, anchor_th, anchor_ph, anchor_rr, d_theta, d_phi,
                 v0 = a0 * gy + a1 * fy
                 v1 = a2 * gy + a3 * fy
                 dist = v0 * gx + v1 * fx
+                if imx != ipx or imy != ipy or imz != ipz:
+                    # near a face the value comes from the cell holding the
+                    # point, as in the gradient-free query
+                    jx = min(max(int(np.floor(ux)), 0), nx - 2)
+                    jy = min(max(int(np.floor(uy)), 0), ny - 2)
+                    jz = min(max(int(np.floor(uz)), 0), nz - 2)
+                    dist = _trilinear(flat, jx * sxy + jy * nz + jz, sxy, nz,
+                                      ux - jx, uy - jy, uz - jz)
                 if dist >= cutoff:
                     continue
                 cpot = np.exp((d_safe - dist) / falloff)

@@ -58,18 +58,20 @@ def _two_loop(grad, S, Y, rho):
     """Batched L-BFGS direction -H g from each row's stored pairs.
 
     S and Y are (m, memory, 9) with the newest pair last; empty slots have
-    rho = 0 and act as no-ops. Rows with no pair must be handled by the
-    caller (their scale gamma is undefined here).
+    rho = 0 and act as no-ops, so slots empty in every row are skipped. Rows
+    with no pair must be handled by the caller (their scale gamma is
+    undefined here).
     """
+    live = np.flatnonzero(rho.any(axis=0))
     q = grad.copy()
     alphas = np.zeros(rho.shape)
-    for i in range(rho.shape[1] - 1, -1, -1):
+    for i in live[::-1]:
         alphas[:, i] = rho[:, i] * np.einsum("nk,nk->n", S[:, i], q)
         q -= alphas[:, i, None] * Y[:, i]
     s, y = S[:, -1], Y[:, -1]
     gamma = np.einsum("nk,nk->n", s, y) / np.einsum("nk,nk->n", y, y)
     r = gamma[:, None] * q
-    for i in range(rho.shape[1]):
+    for i in live:
         beta = rho[:, i] * np.einsum("nk,nk->n", Y[:, i], r)
         r += (alphas[:, i] - beta)[:, None] * S[:, i]
     return -r
@@ -149,9 +151,10 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
         sy = np.einsum("nk,nk->n", s, y)
         keep = sy > _CURVATURE_EPS
         upd = moved[keep]
-        S[upd] = np.roll(S[upd], -1, axis=1)
-        Y[upd] = np.roll(Y[upd], -1, axis=1)
-        rho[upd] = np.roll(rho[upd], -1, axis=1)
+        # drop each updated row's oldest pair; the new pair goes last
+        S[upd, :-1] = S[upd, 1:]
+        Y[upd, :-1] = Y[upd, 1:]
+        rho[upd, :-1] = rho[upd, 1:]
         S[upd, -1] = s[keep]
         Y[upd, -1] = y[keep]
         rho[upd, -1] = 1.0 / sy[keep]

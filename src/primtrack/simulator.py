@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -74,21 +75,57 @@ class QuadState:
                    R, yaw, mass)
 
 
+def _attitude_lag(R_s: np.ndarray, R_c: np.ndarray,
+                  frac: float) -> np.ndarray:
+    """R_s exp(frac log(R_s^T R_c)): the rotation frac of the way from R_s
+    to R_c along the geodesic, by axis-angle (Rodrigues) on the matrices.
+
+    The axis comes from the skew part of the relative rotation up to a
+    right angle and from its symmetric part beyond, where that part is the
+    better conditioned; a near-zero angle returns R_s.
+    """
+    rel = R_s.T @ R_c
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rel.tolist()
+    wx, wy, wz = r21 - r12, r02 - r20, r10 - r01  # 2 sin(angle) * axis
+    s2 = math.sqrt(wx * wx + wy * wy + wz * wz)
+    c2 = r00 + r11 + r22 - 1.0  # 2 cos(angle)
+    angle = math.atan2(s2, c2)
+    if angle < 1e-12:
+        return R_s
+    if c2 >= 0.0:
+        kx, ky, kz = wx / s2, wy / s2, wz / s2
+    else:  # (rel + rel^T) / 2 - cos(angle) I = (1 - cos(angle)) k k^T
+        B = 0.5 * (rel + rel.T) - (0.5 * c2) * np.eye(3)
+        col = B[:, int(np.argmax(np.diag(B)))]
+        if col @ (wx, wy, wz) < 0.0:
+            col = -col
+        kx, ky, kz = (col / np.linalg.norm(col)).tolist()
+    a = frac * angle
+    sa, ca = math.sin(a), math.cos(a)
+    v = 1.0 - ca
+    E = np.array([[ca + v * kx * kx, v * kx * ky - sa * kz,
+                   v * kx * kz + sa * ky],
+                  [v * kx * ky + sa * kz, ca + v * ky * ky,
+                   v * ky * kz - sa * kx],
+                  [v * kx * kz - sa * ky, v * ky * kz + sa * kx,
+                   ca + v * kz * kz]])
+    return R_s @ E
+
+
 def step(state: QuadState, cmd: Command, dt: float, tau_att: float = 0.06,
          drag_k: float = 0.05, bias=(0.0, 0.0, 0.0)) -> QuadState:
     """Semi-implicit Euler step under a thrust-attitude command.
 
     The attitude relaxes toward the commanded one with first-order time
-    constant tau_att (zero means instantaneous). The true disturbance is
-    per-axis quadratic drag plus the constant bias force.
+    constant tau_att (zero means instantaneous), along the geodesic between
+    the two. The true disturbance is per-axis quadratic drag plus the
+    constant bias force.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if tau_att > 0:
-        rel = Rotation.from_matrix(state.attitude).inv() \
-            * Rotation.from_matrix(cmd.attitude)
-        frac = 1.0 - np.exp(-dt / tau_att)
-        R = (Rotation.from_matrix(state.attitude) * (rel ** frac)).as_matrix()
+        frac = 1.0 - math.exp(-dt / tau_att)
+        R = _attitude_lag(state.attitude, cmd.attitude, frac)
     else:
         R = np.asarray(cmd.attitude, float)
     v = state.velocity
@@ -556,7 +593,8 @@ class _Planner:
 
     def plan(self, state: QuadState, goal_p, mode: str,
              target_world=None) -> tuple[Trajectory, float, float]:
-        """Returns (trajectory, chosen weighted cost, latency ms).
+        """Returns (trajectory, chosen weighted cost, latency ms); the cost is
+        NaN when no candidate is finite and the cycle brakes.
 
         The latency covers the whole cycle, from building the cost engine
         to the executed-clearance check.
@@ -585,19 +623,26 @@ class _Planner:
             y = self.head.forward(feats.values)
             raw, scores = y[:, :9], y[:, 9]
             total, _, _ = engine.evaluate(raw, with_grad=False)
-        chosen = int(np.argmin(scores))
-        d_P = engine.decode(raw)[chosen]
-        traj = Trajectory.from_boundary(d_F, d_P, self.T)
-        # executed-clearance check over the first half horizon
-        ts = np.linspace(0.0, self.T / 2, 11)
-        dist, _, _ = self.arena.grid.query(traj.sample_many(ts),
-                                           with_grad=False)
-        self.emergency = bool(
-            np.min(dist) < p.emergency_factor * p.collision_radius)
+        # a NaN marks an infeasible candidate: choose among the finite rows,
+        # and brake when there is none
+        finite = np.isfinite(scores) & np.isfinite(total)
+        if finite.any():
+            chosen = int(np.argmin(np.where(finite, scores, np.inf)))
+            cost = float(total[chosen])
+            d_P = engine.decode(raw)[chosen]
+            traj = Trajectory.from_boundary(d_F, d_P, self.T)
+            # executed-clearance check over the first half horizon
+            ts = np.linspace(0.0, self.T / 2, 11)
+            dist, _, _ = self.arena.grid.query(traj.sample_many(ts),
+                                               with_grad=False)
+            self.emergency = bool(
+                np.min(dist) < p.emergency_factor * p.collision_radius)
+        else:
+            cost, self.emergency = float("nan"), True
         if self.emergency:
             traj = Trajectory.from_boundary(d_F, _braking_endpoint(state, p),
                                             self.T)
-        return traj, float(total[chosen]), (perf_counter() - t0) * 1e3
+        return traj, cost, (perf_counter() - t0) * 1e3
 
 
 def _control_step(state: QuadState, traj: Trajectory, tau: float,

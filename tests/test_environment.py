@@ -206,6 +206,117 @@ def test_query_batched_shapes():
     assert np.allclose(val.ravel(), val2) and np.allclose(g.reshape(-1, 3), g2)
 
 
+# -- the query against the reference implementation ----------------------------
+
+def _oracle_query(grid, p, with_grad=True):
+    """EsdfGrid.query as it was before the per-call overhead was cut, kept
+    as the reference: the same field, cells and arithmetic, with the value
+    of a gradient query read from the lower cell on a face."""
+    dims = np.array(grid.dims)
+    flat = grid.distance.ravel()
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    ny, nz = dims[1], dims[2]
+    corner_off = np.array([0, 1, nz, nz + 1, ny * nz, ny * nz + 1,
+                           ny * nz + nz, ny * nz + nz + 1])
+
+    def gather(i0):
+        return flat[(i0 @ strides)[:, None] + corner_off]
+
+    def cell_eval(c, f):
+        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+        gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+        a = c[:, ::2] * gz[:, None] + c[:, 1::2] * fz[:, None]
+        v0 = a[:, 0] * gy + a[:, 1] * fy
+        v1 = a[:, 2] * gy + a[:, 3] * fy
+        val = v0 * gx + v1 * fx
+        grad = np.empty_like(f)
+        grad[:, 0] = v1 - v0
+        grad[:, 1] = (a[:, 1] - a[:, 0]) * gx + (a[:, 3] - a[:, 2]) * fx
+        dz0 = (c[:, 1] - c[:, 0]) * gy + (c[:, 3] - c[:, 2]) * fy
+        dz1 = (c[:, 5] - c[:, 4]) * gy + (c[:, 7] - c[:, 6]) * fy
+        grad[:, 2] = dz0 * gx + dz1 * fx
+        return val, grad
+
+    p = np.asarray(p, float)
+    shape = p.shape[:-1]
+    P = p.reshape(-1, 3)
+    hi = dims.astype(float) - 1.0
+    u_raw = (P - grid.origin) / grid.resolution - 0.5
+    oob_ax = (u_raw < -1e-12) | (u_raw > hi + 1e-12)
+    oob = np.any(oob_ax, axis=-1)
+    u = np.clip(u_raw, 0.0, hi)
+    hi_cell = dims - 2
+    if not with_grad:
+        i0 = np.clip(np.floor(u).astype(np.intp), 0, hi_cell)
+        val, _ = cell_eval(gather(i0), u - i0)
+        return val.reshape(shape), None, oob.reshape(shape)
+    h = 1e-3
+    im = np.clip(np.floor(u - h).astype(np.intp), 0, hi_cell)
+    ip = np.clip(np.floor(u + h).astype(np.intp), 0, hi_cell)
+    val, grad = cell_eval(gather(im), u - im)
+    mixed = np.any(im != ip, axis=1)
+    if mixed.any():
+        _, gp = cell_eval(gather(ip[mixed]), u[mixed] - ip[mixed])
+        grad[mixed] = 0.5 * (grad[mixed] + gp)
+    grad /= grid.resolution
+    grad[oob_ax] = 0.0
+    return val.reshape(shape), grad.reshape(p.shape), oob.reshape(shape)
+
+
+_QUERY_GRID = build_esdf(
+    generate_forest(ForestSpec(area=(4.0, 4.0), intensity=0.5,
+                               trunk_height=2.0, seed=7), 0.25),
+    (-0.6, -2.6, -0.6), (22, 22, 12), 0.25)
+
+# one lattice coordinate: an integer (a voxel centre, where cells share a
+# face) plus an offset on the face, just off it, or anywhere in the cell;
+# the integers reach two voxels past the field on each side (out of band)
+_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 5e-4, -5e-4, 9.99e-4,
+                     -9.99e-4, 1e-3, -1e-3, 1.001e-3, -1.001e-3, 0.5]),
+    st.floats(-1.5e-3, 1.5e-3), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _query_points(draw):
+    n = draw(st.integers(1, 24))
+    u = np.array([[draw(st.integers(-2, dim + 1)) + draw(_OFFSETS)
+                   for dim in _QUERY_GRID.dims] for _ in range(n)])
+    return _QUERY_GRID.origin + (u + 0.5) * _QUERY_GRID.resolution
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_query_points())
+def test_query_value_does_not_depend_on_gradient(p):
+    val, _, oob = _QUERY_GRID.query(p, True)
+    val_free, grad_free, oob_free = _QUERY_GRID.query(p, False)
+    assert grad_free is None
+    assert np.array_equal(val, val_free)
+    assert np.array_equal(oob, oob_free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_query_points())
+def test_query_matches_reference(p):
+    grid = _QUERY_GRID
+    val, grad, oob = grid.query(p, True)
+    val_free, _, oob_free = grid.query(p, False)
+    ref_free, _, ref_oob = _oracle_query(grid, p, False)
+    ref_val, ref_grad, _ = _oracle_query(grid, p, True)
+    assert np.array_equal(val_free, ref_free)
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(oob, ref_oob) and np.array_equal(oob_free, ref_oob)
+    # the reference reads a gradient query's value from the lower cell when
+    # a face is within 1e-3 lattice units; away from faces both agree
+    u = (p - grid.origin) / grid.resolution - 0.5
+    u = np.clip(u, 0.0, np.array(grid.dims) - 1.0)
+    far = np.all(np.abs(u - np.round(u)) > 1.01e-3, axis=1)
+    assert np.array_equal(val[far], ref_val[far])
+    # near a face the two values differ only by the lower cell's
+    # extrapolation over at most 1e-3 lattice units
+    assert np.allclose(val, ref_val, rtol=0.0, atol=1e-2 * grid.resolution)
+
+
 def test_raycast_blocked_and_free():
     pts = np.array([[2.0, 0.0, z] for z in np.arange(0.0, 2.01, 0.1)])
     grid = build_esdf(PointCloud(pts), (-1, -2, -1), (20, 16, 12), 0.25)

@@ -1,7 +1,10 @@
 """Plant physics, synthetic detections, evader scripting, episode loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from primtrack.camera import CameraModel
@@ -76,6 +79,55 @@ def test_step_halving_converges_first_order():
     e1 = np.linalg.norm(integrate(0.01) - integrate(0.00125))
     e2 = np.linalg.norm(integrate(0.005) - integrate(0.00125))
     assert e2 < 0.75 * e1  # error shrinks with the step size
+
+
+_UNIT = st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(
+    lambda v: 0.1 < np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.tuples(*(st.floats(-1.0, 1.0),) * 4).filter(
+           lambda q: 0.1 < np.linalg.norm(q)),
+       axis=_UNIT, angle=st.floats(0.0, np.pi - 1e-3),
+       frac=st.floats(1e-9, 1.0))
+def test_attitude_lag_is_the_slerp(q, axis, angle, frac):
+    # the closed-form lag against scipy's rotation power (the slerp)
+    from primtrack.simulator import _attitude_lag
+    R_s = Rotation.from_quat(q)
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    R_c = R_s * Rotation.from_rotvec(angle * axis)
+    ref = (R_s * ((R_s.inv() * R_c) ** frac)).as_matrix()
+    got = _attitude_lag(R_s.as_matrix(), R_c.as_matrix(), frac)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("angle", [np.pi, np.pi - 1e-9, np.pi - 1e-5])
+def test_attitude_lag_near_a_half_turn(angle):
+    # the skew part vanishes at a half turn; the axis comes from the
+    # symmetric part, its sign (free at exactly pi) from the skew part
+    from primtrack.simulator import _attitude_lag
+    R_s = Rotation.from_euler("xyz", [0.3, -0.2, 1.1])
+    axis = np.array([1.0, 2.0, -2.0]) / 3.0
+    R_c = R_s * Rotation.from_rotvec(angle * axis)
+    got = Rotation.from_matrix(_attitude_lag(R_s.as_matrix(),
+                                             R_c.as_matrix(), 0.25))
+    step_vec = (R_s.inv() * got).as_rotvec()
+    if angle == np.pi and step_vec @ axis < 0:
+        axis = -axis
+    assert np.allclose(step_vec, 0.25 * angle * axis, rtol=0.0, atol=1e-9)
+
+
+def test_attitude_lag_stays_orthonormal():
+    # 100 s of 5 ms steps toward a command that keeps turning and tilting
+    state = QuadState.hover([0.0, 0.0, 2.0])
+    for k in range(20_000):
+        t = k * 0.005
+        acc = np.array([3.0 * np.sin(1.3 * t), 2.0 * np.cos(0.7 * t), 0.0])
+        cmd = flatness_commands(acc, 2.0 * np.sin(0.4 * t), np.zeros(3), 1.0)
+        state = step(state, cmd, 0.005)
+    R = state.attitude
+    assert np.abs(R.T @ R - np.eye(3)).max() < 1e-9
+    assert np.isclose(np.linalg.det(R), 1.0, atol=1e-9)
 
 
 def test_step_validates_dt():
@@ -289,6 +341,34 @@ def test_emergency_flag_is_set_per_cycle():
     planner.plan(QuadState.hover([-1.0, 0.0, 1.5], yaw=np.pi),
                  [-5.0, 0.0, 1.5], "tracking")
     assert not planner.emergency
+
+
+def test_selection_skips_nan_candidates(monkeypatch):
+    from primtrack import simulator
+    refine, seen, poison = simulator.refine, [], []
+
+    def nan_refine(engine, **kw):  # refine, with the rows in poison NaN
+        raw, total, parts = refine(engine, **kw)
+        total = total.copy()
+        total[poison] = np.nan
+        seen.append(total)
+        return raw, total, parts
+
+    monkeypatch.setattr(simulator, "refine", nan_refine)
+    planner = simulator._Planner(_wall_arena(), SimParams(), "refiner", None)
+    state = replace(QuadState.hover([-1.0, 0.0, 1.5], yaw=np.pi),
+                    velocity=np.array([-2.0, 0.0, 0.0]))
+    goal = [-5.0, 0.0, 1.5]
+    # a NaN first row is passed over for the cheapest finite one
+    poison[:] = [0]
+    _, cost, _ = planner.plan(state, goal, "tracking")
+    assert cost == np.nanmin(seen[-1]) and not planner.emergency
+    # with no finite row the cycle brakes
+    poison[:] = list(range(len(planner.thetas)))
+    traj, cost, _ = planner.plan(state, goal, "tracking")
+    assert np.isnan(cost) and planner.emergency
+    stop = simulator._braking_endpoint(state, planner.p)
+    assert np.allclose(traj.sample(planner.T), stop[:, 0])
 
 
 def test_planning_cycle_evaluates_at_most_20_times(monkeypatch):
