@@ -130,12 +130,12 @@ def _rel_err(ga: np.ndarray, gf: np.ndarray) -> float:
     return float(np.linalg.norm(ga - gf)) / denom
 
 
-def _near_cell_face(grid, pts: np.ndarray, margin: float = 2e-3) -> bool:
-    """True when any sample lies within margin (lattice units) of a cell
-    face, where the interpolant gradient is the averaged one-sided slope."""
+def _near_cell_face(grid, pts: np.ndarray) -> bool:
+    """True when any sample lies within 2e-3 lattice units of a cell face,
+    where the interpolant gradient is the averaged one-sided slope."""
     u = (pts.reshape(-1, 3) - grid.origin) / grid.resolution - 0.5
     frac = np.abs(u - np.round(u))
-    return bool(np.any(frac < margin))
+    return bool(np.any(frac < 2e-3))
 
 
 def _random_grid(rng):
@@ -144,8 +144,7 @@ def _random_grid(rng):
                       dims=(48, 40, 28), resolution=0.25)
 
 
-def grad_check_report(seed: int = 0, n_per_category: int = 200,
-                      corrupt: str | None = None):
+def grad_check_report(seed: int = 0, n_per_category: int = 200):
     """(rows, summary) of analytic-vs-finite-difference relative errors.
 
     Each category accumulates n_per_category usable fixtures; collision and
@@ -161,8 +160,7 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200,
     summary = {}
 
     def record(cat, k, err):
-        bump = 1e-2 if corrupt == cat and k == 0 else 0.0
-        rows.append({"category": cat, "fixture": k, "rel_error": err + bump})
+        rows.append({"category": cat, "fixture": k, "rel_error": err})
 
     for k in range(n_per_category):
         d_F = rng.normal(size=(3, 3))
@@ -244,10 +242,9 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200,
     return rows, summary
 
 
-def cmd_grad_check(cfg: RunConfig, seed: int, out: Path,
-                   corrupt: str | None = None) -> int:
+def cmd_grad_check(cfg: RunConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    rows, summary = grad_check_report(seed, corrupt=corrupt)
+    rows, summary = grad_check_report(seed)
     with open(out / "grad_check.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=["category", "fixture", "rel_error"])
         w.writeheader()
@@ -296,7 +293,7 @@ def make_dataset(cfg: RunConfig, out: Path, seed: int = 0) -> int:
     while n < n_frames:
         name, grid = scenes[int(rng.integers(n_scenes))]
         position = rng.uniform([-1.0, -3.0, 1.0], [2.0, 3.0, 2.5])
-        d0, _, _ = grid.query(position)
+        d0, _ = grid.query(position)
         if float(d0) < 0.6:
             continue
         yaw = rng.uniform(-0.6, 0.6)
@@ -312,7 +309,7 @@ def make_dataset(cfg: RunConfig, out: Path, seed: int = 0) -> int:
                 cand = position + R @ (rad * np.array(
                     [np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph),
                      np.sin(th)]))
-                dt_, _, _ = grid.query(cand)
+                dt_, _ = grid.query(cand)
                 if float(dt_) > 0.4 and raycast(grid, position, cand, 0.2):
                     target = cand
                     break
@@ -456,9 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--head", help="trained head checkpoint")
     sp = sub.add_parser("grad-check", help="finite-difference gradient audit")
     common(sp)
-    sp.add_argument("--corrupt", choices=("smoothness", "goal", "collision",
-                                          "chain_rule"),
-                    help="test hook: perturb one analytic gradient")
     sp = sub.add_parser("make-dataset", help="generate training frames")
     common(sp)
     sp = sub.add_parser("train", help="train the prediction head")
@@ -495,7 +489,7 @@ def main(argv=None) -> int:
             return _run_batch(cfg, "navigation", out, backend,
                               getattr(args, "head", None), seeds)
         if args.command == "grad-check":
-            return cmd_grad_check(cfg, seed, out, args.corrupt)
+            return cmd_grad_check(cfg, seed, out)
         if args.command == "make-dataset":
             return make_dataset(cfg, out, seed)
         if args.command == "train":

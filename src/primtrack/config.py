@@ -175,10 +175,6 @@ class RunConfig:
         with open(path) as f:
             return cls.loads(f.read())
 
-    def save(self, path, annotate: bool = False) -> None:
-        with open(path, "w") as f:
-            f.write(self.dumps(annotate))
-
     # -- domain objects ------------------------------------------------------
 
     @property

@@ -18,6 +18,7 @@ __all__ = ["Command", "ObserverState", "flatness_commands", "observer_step",
 
 GRAVITY = 9.8  # m/s^2, world z up
 _EZ = np.array([0.0, 0.0, 1.0])
+_EPS = 1e-6  # norms below this leave a command direction undefined
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class Command:
 
 
 def flatness_commands(acc_des, yaw: float, d_hat, mass: float,
-                      eps: float = 1e-6,
                       prev_body_y=None) -> Command:
     """Attitude and collective thrust realizing a desired acceleration.
 
@@ -55,7 +55,7 @@ def flatness_commands(acc_des, yaw: float, d_hat, mass: float,
     # norms and cross products of 3-vectors written out (np.linalg.norm of
     # a vector is the square root of its dot product with itself)
     norm_F = math.sqrt(F.dot(F))
-    if norm_F < eps:
+    if norm_F < _EPS:
         raise ValueError("degenerate (free-fall) thrust command")
     R_z = F / norm_F
     zx, zy, zz = R_z.tolist()
@@ -63,7 +63,7 @@ def flatness_commands(acc_des, yaw: float, d_hat, mass: float,
     y_axis = np.array([zy * hz - zz * hy, zz * hx - zx * hz,
                        zx * hy - zy * hx])
     ny = math.sqrt(y_axis.dot(y_axis))
-    if ny < eps:
+    if ny < _EPS:
         if prev_body_y is None:
             raise ValueError("thrust direction parallel to heading; "
                              "no previous body y to fall back on")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .environment import EsdfGrid
-from .primitives import LatticeConfig, spherical_jacobian
+from .primitives import LatticeConfig
 from .trajectory import hermite_matrix, power_row
 
 __all__ = [
@@ -158,7 +158,7 @@ def collision(d_F, d_P, horizon_T: float, grid: EsdfGrid,
     coeffs = _coefficients(d_F, d_P, horizon_T)  # (N, 3, 6)
     batched = np.asarray(d_P).ndim == 3
     pos = np.einsum("nac,kc->nka", coeffs, powers)  # (N, K, 3)
-    dist, grad_d, _ = grid.query(pos, with_grad=need_grad)
+    dist, grad_d = grid.query(pos, with_grad=need_grad)
     c, c_slope = params.value_and_slope(dist)
     J = c.sum(axis=1) * params.dt
     if not need_grad:
@@ -171,43 +171,67 @@ def collision(d_F, d_P, horizon_T: float, grid: EsdfGrid,
     return J, grad
 
 
-def goal(d_P_position, goal_p, mode: str = "tracking",
-         radius: float | None = None, origin=None):
-    """Squared endpoint-to-goal distance and its gradient.
-
-    In navigation mode the goal is replaced by a fixed-length direction
-    vector of length `radius` from `origin` toward the goal; in tracking
-    mode the raw target position is used unscaled.
-    """
-    p = np.asarray(d_P_position, float)
-    g = np.asarray(goal_p, float)
-    if mode == "navigation":
-        if radius is None:
-            raise ValueError("navigation mode requires the lattice radius")
-        o = np.zeros(3) if origin is None else np.asarray(origin, float)
-        delta = g - o
-        norm = np.linalg.norm(delta)
-        if norm < 1e-9:
-            raise ValueError("goal coincides with the current position")
-        g = o + delta / norm * radius
-    elif mode != "tracking":
-        raise ValueError(f"unknown goal mode {mode!r}")
-    diff = p - g
+def goal(d_P_position, goal_p):
+    """Squared endpoint-to-goal distance and its gradient."""
+    diff = np.asarray(d_P_position, float) - np.asarray(goal_p, float)
     J = np.sum(diff * diff, axis=-1)
-    grad = 2.0 * diff
-    if p.ndim == 1:
-        return float(J), grad
-    return J, grad
+    return (float(J) if diff.ndim == 1 else J), 2.0 * diff
 
 
-# -- chain rule to raw prediction variables --------------------------------
+# -- decode and chain rule to raw prediction variables ----------------------
 
 RAW_DIM = 9  # (y_theta, y_phi, y_r, y_v[3], y_a[3])
 
 
+def _geometry(raw, thetas, phis, radii, cfg: LatticeConfig):
+    """tanh(raw) and the decode geometry: cos and sin of the decoded polar
+    and azimuth angles, and the decoded radius."""
+    y = np.tanh(raw)
+    th = thetas + y[:, 0] * cfg.d_theta
+    ph = phis + y[:, 1] * cfg.d_phi
+    rr = radii * (1.0 + y[:, 2])
+    return y, (np.cos(th), np.sin(th), np.cos(ph), np.sin(ph), rr)
+
+
+def _forward(raw, thetas, phis, radii, cfg: LatticeConfig, vel_scale,
+             acc_scale, R, position, out):
+    """(tanh(raw), decode geometry, world end states): the end states of
+    the raw rows are written to out, shape (N, 3, 3), columns (pos, vel,
+    acc); R and position place the camera in the world."""
+    y, geo = _geometry(raw, thetas, phis, radii, cfg)
+    ct, st, cp, sp, rr = geo
+    p_cam = np.empty((len(raw), 3))
+    p_cam[:, 0] = rr * ct * cp
+    p_cam[:, 1] = rr * ct * sp
+    p_cam[:, 2] = rr * st
+    out[:, :, 0] = p_cam @ R.T + position
+    out[:, :, 1] = (y[:, 3:6] * vel_scale) @ R.T
+    out[:, :, 2] = (y[:, 6:9] * acc_scale) @ R.T
+    return y, geo, out
+
+
+def _backward(grad_dP, y, geo, radii, cfg: LatticeConfig, vel_scale,
+              acc_scale, R) -> np.ndarray:
+    """Gradient w.r.t. the raw rows (N, 9) from end-state gradients (N, 3,
+    3), through the world placement, the spherical decode and the tanh."""
+    ct, st, cp, sp, rr = geo
+    gp = grad_dP[:, :, 0] @ R  # world -> camera
+    g_th = rr * (ct * gp[:, 2] - st * (cp * gp[:, 0] + sp * gp[:, 1]))
+    g_ph = rr * ct * (cp * gp[:, 1] - sp * gp[:, 0])
+    g_r = ct * (cp * gp[:, 0] + sp * gp[:, 1]) + st * gp[:, 2]
+    sech2 = 1.0 - y * y
+    out = np.empty((len(y), RAW_DIM))
+    out[:, 0] = g_th * sech2[:, 0] * cfg.d_theta
+    out[:, 1] = g_ph * sech2[:, 1] * cfg.d_phi
+    out[:, 2] = g_r * sech2[:, 2] * radii
+    out[:, 3:6] = (grad_dP[:, :, 1] @ R) * sech2[:, 3:6] * vel_scale
+    out[:, 6:9] = (grad_dP[:, :, 2] @ R) * sech2[:, 6:9] * acc_scale
+    return out
+
+
 def decode_raw_batch(raw: np.ndarray, thetas, phis, radii,
                      cfg: LatticeConfig, alpha: float, v_max: float,
-                     a_max: float, rotation=None, position=None):
+                     a_max: float, rotation=None, position=None) -> np.ndarray:
     """Decode raw (N, 9) trajectory variables into world end states (N, 3, 3).
 
     thetas/phis/radii are per-candidate anchor parameters; rotation/position
@@ -216,28 +240,12 @@ def decode_raw_batch(raw: np.ndarray, thetas, phis, radii,
     if not (alpha > 0 and v_max > 0 and a_max > 0):
         raise ValueError("scales must be positive")
     raw = np.atleast_2d(np.asarray(raw, float))
-    y = np.tanh(raw)
-    th = np.asarray(thetas, float) + y[:, 0] * cfg.d_theta
-    ph = np.asarray(phis, float) + y[:, 1] * cfg.d_phi
-    rr = np.asarray(radii, float) * (1.0 + y[:, 2])
-    ct = np.cos(th)
-    p_cam = np.empty((len(raw), 3))
-    p_cam[:, 0] = rr * ct * np.cos(ph)
-    p_cam[:, 1] = rr * ct * np.sin(ph)
-    p_cam[:, 2] = rr * np.sin(th)
-    d_P = np.empty((len(raw), 3, 3))
-    if rotation is None:
-        d_P[:, :, 0] = p_cam
-        d_P[:, :, 1] = y[:, 3:6] * (alpha * v_max)
-        d_P[:, :, 2] = y[:, 6:9] * (alpha ** 2 * a_max)
-    else:
-        R = np.asarray(rotation, float)
-        d_P[:, :, 0] = p_cam @ R.T
-        d_P[:, :, 1] = (y[:, 3:6] * (alpha * v_max)) @ R.T
-        d_P[:, :, 2] = (y[:, 6:9] * (alpha ** 2 * a_max)) @ R.T
-    if position is not None:
-        d_P[:, :, 0] += np.asarray(position, float)
-    return d_P, (th, ph, rr)
+    R = np.eye(3) if rotation is None else np.asarray(rotation, float)
+    position = 0.0 if position is None else np.asarray(position, float)
+    return _forward(raw, np.asarray(thetas, float), np.asarray(phis, float),
+                    np.asarray(radii, float), cfg, alpha * v_max,
+                    alpha ** 2 * a_max, R, position,
+                    np.empty((len(raw), 3, 3)))[2]
 
 
 def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray, thetas, phis,
@@ -247,35 +255,27 @@ def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray, thetas, phis,
     raw = np.atleast_2d(np.asarray(raw, float))
     grad_dP = np.asarray(grad_dP, float).reshape(len(raw), 3, 3)
     R = np.eye(3) if rotation is None else np.asarray(rotation, float)
-    th = np.asarray(thetas, float) + np.tanh(raw[:, 0]) * cfg.d_theta
-    ph = np.asarray(phis, float) + np.tanh(raw[:, 1]) * cfg.d_phi
-    rr = np.asarray(radii, float) * (1.0 + np.tanh(raw[:, 2]))
-    J_sph = spherical_jacobian(th, ph, rr)  # (N, 3, 3), cols (theta, phi, r)
-    g_pos_cam = grad_dP[:, :, 0] @ R  # world -> camera
-    g_angles = np.einsum("na,nae->ne", g_pos_cam, J_sph)  # (N, 3)
-    sech2 = 1.0 - np.tanh(raw[:, :3]) ** 2
-    out = np.empty((len(raw), RAW_DIM))
-    out[:, 0] = g_angles[:, 0] * sech2[:, 0] * cfg.d_theta
-    out[:, 1] = g_angles[:, 1] * sech2[:, 1] * cfg.d_phi
-    out[:, 2] = g_angles[:, 2] * sech2[:, 2] * np.asarray(radii, float)
-    g_vel_cam = grad_dP[:, :, 1] @ R
-    g_acc_cam = grad_dP[:, :, 2] @ R
-    out[:, 3:6] = g_vel_cam * (1.0 - np.tanh(raw[:, 3:6]) ** 2) * alpha * v_max
-    out[:, 6:9] = g_acc_cam * (1.0 - np.tanh(raw[:, 6:9]) ** 2) * alpha ** 2 * a_max
-    return out
+    radii = np.asarray(radii, float)
+    y, geo = _geometry(raw, np.asarray(thetas, float),
+                       np.asarray(phis, float), radii, cfg)
+    return _backward(grad_dP, y, geo, radii, cfg, alpha * v_max,
+                     alpha ** 2 * a_max, R)
 
 
 # -- losses -----------------------------------------------------------------
 
-def smooth_l1(x, beta: float = 1.0):
-    """Elementwise smooth-L1 (Huber-style) with quadratic zone |x| < beta."""
+_BETA = 1.0  # half-width of smooth-L1's quadratic zone
+
+
+def smooth_l1(x):
+    """Elementwise smooth-L1 (Huber-style) with quadratic zone |x| < 1."""
     x = np.abs(np.asarray(x, float))
-    return np.where(x < beta, 0.5 * x * x / beta, x - 0.5 * beta)
+    return np.where(x < _BETA, 0.5 * x * x / _BETA, x - 0.5 * _BETA)
 
 
-def smooth_l1_grad(x, beta: float = 1.0):
+def smooth_l1_grad(x):
     x = np.asarray(x, float)
-    return np.where(np.abs(x) < beta, x / beta, np.sign(x))
+    return np.where(np.abs(x) < _BETA, x / _BETA, np.sign(x))
 
 
 # -- batched engine ----------------------------------------------------------
@@ -337,22 +337,18 @@ class CostEngine:
         self.phis = np.asarray(phis, float)
         self.radii = np.asarray(radii, float)
 
-    def decode(self, raw: np.ndarray, idx=None) -> np.ndarray:
-        th, ph, rr = self.thetas, self.phis, self.radii
-        if idx is not None:
-            th, ph, rr = th[idx], ph[idx], rr[idx]
-        d_P, _ = decode_raw_batch(raw, th, ph, rr,
-                                  self.cfg, self.alpha, self.v_max, self.a_max,
-                                  self.rotation, self.position)
-        return d_P
+    def decode(self, raw: np.ndarray) -> np.ndarray:
+        return decode_raw_batch(raw, self.thetas, self.phis, self.radii,
+                                self.cfg, self.alpha, self.v_max, self.a_max,
+                                self.rotation, self.position)
 
     def evaluate(self, raw: np.ndarray, with_grad: bool = True, idx=None):
         """Weighted cost per candidate and, optionally, raw-space gradients.
 
         idx restricts the evaluation to a subset of the configured anchors
         (raw rows must match). Returns (total (N,), parts dict, grad (N, 9)
-        or None). This is a fused fast path; it matches the composable
-        smoothness/collision/goal/chain_rule_batch functions exactly.
+        or None). The decode and the chain rule are the helpers that
+        decode_raw_batch and chain_rule_batch use.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         n = len(raw)
@@ -390,23 +386,9 @@ class CostEngine:
         g_s, g_c, g_g = terms
         grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
         grad_dP[:, :, 0] += w.lambda_g * g_g
-        # chain rule through the world placement, spherical decode, and tanh
-        ct, st, cp, sp, rr = geo
-        R = self.rotation
-        gp = grad_dP[:, :, 0] @ R  # world -> camera
-        g_th = rr * (ct * gp[:, 2] - st * (cp * gp[:, 0] + sp * gp[:, 1]))
-        g_ph = rr * ct * (cp * gp[:, 1] - sp * gp[:, 0])
-        g_r = ct * (cp * gp[:, 0] + sp * gp[:, 1]) + st * gp[:, 2]
-        sech2 = 1.0 - y * y
-        grad_raw = np.empty((n, 9))
-        grad_raw[:, 0] = g_th * sech2[:, 0] * self.cfg.d_theta
-        grad_raw[:, 1] = g_ph * sech2[:, 1] * self.cfg.d_phi
-        grad_raw[:, 2] = g_r * sech2[:, 2] * anchor_rr
-        grad_raw[:, 3:6] = (grad_dP[:, :, 1] @ R) \
-            * sech2[:, 3:6] * self._vel_scale
-        grad_raw[:, 6:9] = (grad_dP[:, :, 2] @ R) \
-            * sech2[:, 6:9] * self._acc_scale
-        return total, parts, grad_raw
+        return total, parts, _backward(grad_dP, y, geo, anchor_rr, self.cfg,
+                                       self._vel_scale, self._acc_scale,
+                                       self.rotation)
 
     def evaluate_terms(self, raw: np.ndarray):
         """Unweighted cost terms and their end-state gradients, all anchors.
@@ -415,7 +397,7 @@ class CostEngine:
         g_c of shape (N, 3, 3) are the gradients of J_s and J_c w.r.t. the
         end state d_P (g_c is zero without a field), and g_goal (N, 3) that
         of J_g w.r.t. the end position. One field query serves all terms;
-        the composable smoothness/collision/goal functions give the same.
+        the decode is the helper that evaluate and decode_raw_batch use.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         _, _, parts, terms = self._terms(raw, self.thetas, self.phis,
@@ -426,22 +408,11 @@ class CostEngine:
         """Decode and score raw rows: (tanh(raw), decode geometry, parts,
         unweighted end-state gradients (g_s, g_c, g_goal) or None)."""
         n = len(raw)
-        y = np.tanh(raw)
-        th = anchor_th + y[:, 0] * self.cfg.d_theta
-        ph = anchor_ph + y[:, 1] * self.cfg.d_phi
-        rr = anchor_rr * (1.0 + y[:, 2])
-        ct, st = np.cos(th), np.sin(th)
-        cp, sp = np.cos(ph), np.sin(ph)
-        p_cam = np.empty((n, 3))
-        p_cam[:, 0] = rr * ct * cp
-        p_cam[:, 1] = rr * ct * sp
-        p_cam[:, 2] = rr * st
-        R = self.rotation
         d = np.empty((n, 3, 6))
         d[:, :, :3] = self.d_F
-        d[:, :, 3] = p_cam @ R.T + self.position
-        d[:, :, 4] = (y[:, 3:6] * self._vel_scale) @ R.T
-        d[:, :, 5] = (y[:, 6:9] * self._acc_scale) @ R.T
+        y, geo, _ = _forward(raw, anchor_th, anchor_ph, anchor_rr, self.cfg,
+                             self._vel_scale, self._acc_scale, self.rotation,
+                             self.position, d[:, :, 3:])
         # squared-jerk quadratic form
         dB = d @ self._B
         J_s = np.einsum("nai,nai->n", dB, d)
@@ -451,7 +422,7 @@ class CostEngine:
             coeffs = d @ self._Mt  # (n, 3, 6)
             pos = np.ascontiguousarray(
                 (coeffs @ self._powers.T).swapaxes(1, 2))  # (n, K, 3)
-            dist, grad_d, _ = self.grid.query(pos, with_grad=with_grad)
+            dist, grad_d = self.grid.query(pos, with_grad=with_grad)
             near = dist < pot.cutoff
             c = np.zeros_like(dist)
             c[near] = np.exp((pot.d_safe - dist[near]) / pot.falloff)
@@ -461,7 +432,6 @@ class CostEngine:
         diff = d[:, :, 3] - self.goal_p
         J_g = np.einsum("na,na->n", diff, diff)
         parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
-        geo = (ct, st, cp, sp, rr)
         if not with_grad:
             return y, geo, parts, None
         g_s = 2.0 * dB[:, :, 3:]

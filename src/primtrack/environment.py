@@ -155,9 +155,6 @@ class EsdfGrid:
         high = self.origin + (np.array(self.dims) - 0.5) * self.resolution
         return low, high
 
-    def voxel_center(self, idx) -> np.ndarray:
-        return self.origin + (np.asarray(idx, float) + 0.5) * self.resolution
-
     # -- interpolation ----------------------------------------------------
 
     def _cells(self, u: np.ndarray) -> np.ndarray:
@@ -194,16 +191,16 @@ class EsdfGrid:
         return val, grad
 
     def query(self, p, with_grad: bool = True):
-        """(distance, gradient, out_of_band) at world points p, shape (..., 3).
+        """(distance, gradient) at world points p, shape (..., 3).
 
         The gradient is the spatial derivative of the trilinear interpolant:
         exact inside a cell, the average of the two one-sided slopes on
         shared cell faces (a central difference of neighbors at voxel
         centers). The value does not depend on with_grad: it is read from
-        the cell that holds the point, the upper one on a face. Clamped
-        (out-of-band) queries return the boundary value with zero gradient
-        along the clamped axes. with_grad=False skips the gradient
-        (returned as None).
+        the cell that holds the point, the upper one on a face. Queries
+        outside the voxel-center lattice are clamped to it: they return the
+        boundary value with zero gradient along the clamped axes.
+        with_grad=False skips the gradient (returned as None).
         """
         p = np.asarray(p, float)
         shape = p.shape[:-1]
@@ -211,13 +208,13 @@ class EsdfGrid:
         u = np.subtract(p.reshape(-1, 3).T, self._origin_col, order="C")
         u /= self.resolution
         u -= 0.5
-        oob_ax = (u < -1e-12) | (u > self._hi_band)
-        oob = (oob_ax[0] | oob_ax[1] | oob_ax[2]).reshape(shape)
-        np.minimum(np.maximum(u, 0.0, out=u), self._hi, out=u)
         if not with_grad:
+            np.minimum(np.maximum(u, 0.0, out=u), self._hi, out=u)
             i0 = self._cells(u)
             val, _ = self._cell_eval(self._gather(i0), u - i0, False)
-            return val.reshape(shape), None, oob
+            return val.reshape(shape), None
+        clamped = (u < -1e-12) | (u > self._hi_band)
+        np.minimum(np.maximum(u, 0.0, out=u), self._hi, out=u)
         h = 1e-3  # lattice units; selects the two cells sharing a face
         im = self._cells(u - h)
         ip = self._cells(u + h)
@@ -238,8 +235,8 @@ class EsdfGrid:
             val[mixed] = val[n + k:]
             val, grad = val[:n], grad[:n]
         grad /= self.resolution
-        grad[oob_ax.T] = 0.0
-        return val.reshape(shape), grad.reshape(p.shape), oob
+        grad[clamped.T] = 0.0
+        return val.reshape(shape), grad.reshape(p.shape)
 
 
 def build_esdf(cloud: PointCloud, origin, dims, resolution: float,
@@ -285,7 +282,7 @@ def raycast(grid: EsdfGrid, p0, p1, occupancy_threshold: float) -> bool:
     n = max(2, int(np.ceil(length / (grid.resolution / 2))) + 1)
     s = np.linspace(0.0, 1.0, n)[:, None]
     pts = p0 + s * (p1 - p0)
-    dist, _, _ = grid.query(pts, with_grad=False)
+    dist, _ = grid.query(pts, with_grad=False)
     return bool(np.all(dist > occupancy_threshold))
 
 

@@ -51,6 +51,10 @@ def _sigmoid(x):
 _TRIALS = np.array([1.0, 0.3, 0.1, 0.01])
 _MEMORY = 5  # curvature pairs kept per candidate
 _FIRST_STEP = 0.05  # longest step, in raw units, along a scaled gradient
+_STEP_SIZE = 0.1  # gradient step scale where _FIRST_STEP does not cap it
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_GRAD_TOL = 1e-5  # a candidate with a smaller gradient norm drops out
+_FTOL = 1e-7  # so does one whose step improves the cost by less
 _CURVATURE_EPS = 1e-12  # pairs with s.y at or below this are not stored
 
 
@@ -77,10 +81,8 @@ def _two_loop(grad, S, Y, rho):
     return -r
 
 
-def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
-           armijo: float = 1e-4, max_backtracks: int = 4,
-           raw0: np.ndarray | None = None, grad_tol: float = 1e-5,
-           ftol: float = 1e-7):
+def refine(engine: CostEngine, steps: int = 8, max_backtracks: int = 4,
+           raw0: np.ndarray | None = None):
     """Per-anchor L-BFGS on the raw trajectory variables.
 
     The engine must have anchors set. Every candidate keeps its own curvature
@@ -90,10 +92,10 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
     direction in one gradient-free evaluation, takes the first trial that
     passes the Armijo test, and evaluates the gradient at the accepted rows
     only. A candidate with no curvature pair steps along its gradient scaled
-    by min(step_size, 0.05 / |g|). A failed search clears the memory, so the
+    by min(0.1, 0.05 / |g|). A failed search clears the memory, so the
     next iteration retries from the scaled gradient; a failed search from
     the scaled gradient drops the candidate. Candidates whose gradient norm
-    falls below grad_tol or whose per-step improvement falls below ftol drop
+    falls below 1e-5 or whose per-step improvement falls below 1e-7 drop
     out too. No candidate's cost ever rises. Returns (raw, total, parts) with
     raw of shape (N, 9); candidates whose cost is NaN are flagged infeasible
     by a NaN total.
@@ -107,7 +109,7 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
     raw = np.zeros((n, 9)) if raw0 is None else np.array(raw0, float)
     total, parts, grad = engine.evaluate(raw)
     gnorm2 = np.sum(grad * grad, axis=1)
-    active = np.isfinite(total) & (gnorm2 > grad_tol ** 2)
+    active = np.isfinite(total) & (gnorm2 > _GRAD_TOL ** 2)
     S = np.zeros((n, _MEMORY, 9))
     Y = np.zeros((n, _MEMORY, 9))
     rho = np.zeros((n, _MEMORY))
@@ -118,7 +120,7 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
         m = len(idx)
         g = grad[idx]
         scaled = -g * np.minimum(
-            step_size, _FIRST_STEP / np.sqrt(gnorm2[idx]))[:, None]
+            _STEP_SIZE, _FIRST_STEP / np.sqrt(gnorm2[idx]))[:, None]
         direction = scaled.copy()
         has_mem = rho[idx, -1] > 0
         if has_mem.any():
@@ -134,7 +136,7 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
                                   idx=np.repeat(idx, len(trials)))
         f = f.reshape(m, len(trials))
         ok = np.isfinite(f) & \
-            (f <= total[idx, None] + armijo * trials * slope[:, None])
+            (f <= total[idx, None] + _ARMIJO * trials * slope[:, None])
         any_ok = ok.any(axis=1)
         # a failed search clears the memory (rho = 0 empties a slot), so the
         # next iteration retries from the scaled gradient; give up if that
@@ -165,12 +167,16 @@ def refine(engine: CostEngine, steps: int = 8, step_size: float = 0.1,
             parts[k][moved] = parts2[k]
         grad[moved] = grad2
         gnorm2[moved] = np.sum(grad2 * grad2, axis=1)
-        active[moved[improvement < ftol]] = False
-        active &= gnorm2 > grad_tol ** 2
+        active[moved[improvement < _FTOL]] = False
+        active &= gnorm2 > _GRAD_TOL ** 2
     return raw, total, parts
 
 
 # -- privileged frustum features ---------------------------------------------
+
+_OCCUPANCY = 0.15  # a ray hits where the field falls below this, meters
+_RAYS = 3  # rays per cell along each angle
+
 
 def _cell_rotation(theta: float, phi: float) -> np.ndarray:
     """Camera-to-cell-local rotation; local x points at the grid center."""
@@ -192,8 +198,7 @@ class FrustumFeatures:
 
 def compute_features(grid: EsdfGrid | None, cam: CameraModel,
                      cfg: LatticeConfig, velocity_n, acceleration_n,
-                     target_world=None, occupancy_threshold: float = 0.15,
-                     rays_per_axis: int = 3) -> FrustumFeatures:
+                     target_world=None) -> FrustumFeatures:
     """Privileged depth features plus state inputs for every grid cell.
 
     A small bundle of rays is marched through the distance field per cell
@@ -204,7 +209,7 @@ def compute_features(grid: EsdfGrid | None, cam: CameraModel,
     a_n = np.asarray(acceleration_n, float)
     pitch_p = cfg.fov_h / cfg.m_phi
     pitch_t = cfg.fov_v / cfg.m_theta
-    offs = (np.arange(rays_per_axis) - (rays_per_axis - 1) / 2) / rays_per_axis
+    offs = (np.arange(_RAYS) - (_RAYS - 1) / 2) / _RAYS
     # ray bundle per anchor, ordered (anchor, polar offset, azimuth offset)
     th = np.array([a.theta for a in anchors])[:, None, None] \
         + (offs * pitch_t)[None, :, None]
@@ -212,14 +217,14 @@ def compute_features(grid: EsdfGrid | None, cam: CameraModel,
         + (offs * pitch_p)[None, None, :]
     dirs = spherical_endpoint(th, ph, 1.0).reshape(-1, 3)
     dirs_world = dirs @ cam.rotation.T  # (n_cells*B, 3)
-    n_bundle = rays_per_axis ** 2
+    n_bundle = _RAYS ** 2
     step = (grid.resolution / 2) if grid is not None else 0.1
     n_s = max(2, int(np.ceil(cfg.r / step)) + 1)
     s = np.linspace(0.0, cfg.r, n_s)
     if grid is not None:
         pts = cam.position + dirs_world[:, None, :] * s[None, :, None]
-        dist, _, _ = grid.query(pts, with_grad=False)
-        hit = dist < occupancy_threshold
+        dist, _ = grid.query(pts, with_grad=False)
+        hit = dist < _OCCUPANCY
         first = np.where(hit.any(axis=1), s[np.argmax(hit, axis=1)], cfg.r)
     else:
         first = np.full(len(dirs_world), cfg.r)
@@ -422,9 +427,9 @@ class StateSampler:
 
     sigma: float = 0.6
     mu: float | None = None
-    v_m: float = 5.5
-    lateral_std: float = 1.5
-    vertical_std: float = 1.5
+    v_m: float = 8.8
+    lateral_std: float = 2.4
+    vertical_std: float = 2.4
     acc_std: float = 1.8
 
     def __post_init__(self):
@@ -432,17 +437,6 @@ class StateSampler:
             raise ValueError("v_m must be positive")
         if self.mu is None:
             object.__setattr__(self, "mu", float(np.log(0.4 * self.v_m)))
-
-    def forward_pdf(self, v: np.ndarray) -> np.ndarray:
-        """Density of the forward velocity on v < v_m."""
-        v = np.asarray(v, float)
-        gap = self.v_m - v
-        out = np.zeros_like(gap)
-        ok = gap > 0
-        g = gap[ok]
-        out[ok] = np.exp(-((np.log(g) - self.mu) ** 2) / (2 * self.sigma ** 2)) \
-            / (g * self.sigma * np.sqrt(2 * np.pi))
-        return out
 
 
 def sample_training_state(sampler: StateSampler, rng: np.random.Generator,

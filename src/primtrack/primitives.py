@@ -18,7 +18,6 @@ __all__ = [
     "build_library",
     "horizon",
     "spherical_endpoint",
-    "spherical_jacobian",
 ]
 
 
@@ -28,24 +27,6 @@ def spherical_endpoint(theta: float, phi: float, r: float) -> np.ndarray:
     ct = np.cos(theta)
     return np.asarray(r)[..., None] * np.stack(
         [ct * np.cos(phi), ct * np.sin(phi), np.sin(theta)], axis=-1)
-
-
-def spherical_jacobian(theta, phi, r) -> np.ndarray:
-    """d endpoint / d (theta, phi, r), shape (..., 3, 3), columns in that order."""
-    theta, phi, r = np.broadcast_arrays(np.asarray(theta, float), phi, r)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    J = np.empty(theta.shape + (3, 3))
-    J[..., 0, 0] = -r * st * cp
-    J[..., 1, 0] = -r * st * sp
-    J[..., 2, 0] = r * ct
-    J[..., 0, 1] = -r * ct * sp
-    J[..., 1, 1] = r * ct * cp
-    J[..., 2, 1] = 0.0
-    J[..., 0, 2] = ct * cp
-    J[..., 1, 2] = ct * sp
-    J[..., 2, 2] = st
-    return J
 
 
 @dataclass(frozen=True)
@@ -103,10 +84,6 @@ class PrimitiveAnchor:
     phi: float
     r: float
     endpoint: np.ndarray
-
-    def flat_index(self, cfg: LatticeConfig) -> int:
-        i, j = self.grid_index
-        return i * cfg.m_theta + j
 
 
 def build_library(cfg: LatticeConfig) -> list[PrimitiveAnchor]:

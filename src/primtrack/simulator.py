@@ -191,6 +191,10 @@ def simulate_detection(target_world, cam: CameraModel, grid: EsdfGrid | None,
 
 # -- scripted evader ----------------------------------------------------------
 
+_EVADER_CELL = 0.5  # planning grid pitch, meters
+_SWITCH_FRACTION = 0.5  # share of the course run before a goal switch
+
+
 class EvaderScript:
     """Scripted target on shortest collision-free polylines.
 
@@ -201,8 +205,7 @@ class EvaderScript:
     """
 
     def __init__(self, trunks, bounds, speed: float, height: float = 1.5,
-                 clearance: float = 0.6, cell: float = 0.5,
-                 switch_fraction: float = 0.5, switches: int = 1,
+                 clearance: float = 0.6, switches: int = 1,
                  accel: float = 1.0,
                  rng: np.random.Generator | None = None):
         self.trunks = np.asarray(trunks, float).reshape(-1, 2)
@@ -212,13 +215,11 @@ class EvaderScript:
         self._speed = 0.0
         self.height = float(height)
         self.clearance = float(clearance)
-        self.cell = float(cell)
-        self.switch_fraction = float(switch_fraction)
         self.switches_left = int(switches)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         xmin, xmax, ymin, ymax = self.bounds
-        self._xs = np.arange(xmin + cell / 2, xmax, cell)
-        self._ys = np.arange(ymin + cell / 2, ymax, cell)
+        self._xs = np.arange(xmin + _EVADER_CELL / 2, xmax, _EVADER_CELL)
+        self._ys = np.arange(ymin + _EVADER_CELL / 2, ymax, _EVADER_CELL)
         occ = np.zeros((len(self._xs), len(self._ys)), bool)
         if len(self.trunks):
             gx, gy = np.meshgrid(self._xs, self._ys, indexing="ij")
@@ -236,9 +237,9 @@ class EvaderScript:
     # grid helpers
 
     def _cell_of(self, xy):
-        i = int(np.clip(round((xy[0] - self._xs[0]) / self.cell), 0,
+        i = int(np.clip(round((xy[0] - self._xs[0]) / _EVADER_CELL), 0,
                         len(self._xs) - 1))
-        j = int(np.clip(round((xy[1] - self._ys[0]) / self.cell), 0,
+        j = int(np.clip(round((xy[1] - self._ys[0]) / _EVADER_CELL), 0,
                         len(self._ys) - 1))
         return i, j
 
@@ -255,7 +256,7 @@ class EvaderScript:
 
     def _segment_free(self, a, b) -> bool:
         a, b = np.asarray(a, float), np.asarray(b, float)
-        n = max(2, int(np.ceil(np.linalg.norm(b - a) / (self.cell / 2))) + 1)
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / (_EVADER_CELL / 2))) + 1)
         for s in np.linspace(0.0, 1.0, n):
             i, j = self._cell_of(a + s * (b - a))
             if self._occ[i, j]:
@@ -350,7 +351,7 @@ class EvaderScript:
         if self.path is None:
             raise RuntimeError("set_course before stepping the evader")
         if self.switches_left > 0 \
-                and self._traveled >= self.switch_fraction * self._path_len:
+                and self._traveled >= _SWITCH_FRACTION * self._path_len:
             self.switches_left -= 1
             self.set_course(self.position[:2], self._random_goal())
         if self.accel > 0:
@@ -376,6 +377,9 @@ class EvaderScript:
 
 # -- arenas -------------------------------------------------------------------
 
+_MARGIN = 3.0  # free border around the forest area in the field, meters
+
+
 @dataclass(frozen=True)
 class Arena:
     """Ground-truth world: distance field plus the trunk layout it encodes."""
@@ -391,7 +395,7 @@ class Arena:
 def make_forest_arena(seed: int, intensity: float = 1.0 / 16.0,
                       area=(16.0, 50.0), clear_points=(),
                       min_spacing: float | None = None,
-                      resolution: float = 0.25, margin: float = 3.0,
+                      resolution: float = 0.25,
                       trunk_height: float = 4.0,
                       trunk_radius: float = 0.15) -> Arena:
     """Poisson-forest world with its truncated distance field."""
@@ -400,8 +404,8 @@ def make_forest_arena(seed: int, intensity: float = 1.0 / 16.0,
                       trunk_height=trunk_height)
     cloud = generate_forest(spec, resolution, clear_points)
     width, depth = area
-    origin = np.array([-margin, -width / 2 - margin, 0.0])
-    extent = np.array([depth + 2 * margin, width + 2 * margin,
+    origin = np.array([-_MARGIN, -width / 2 - _MARGIN, 0.0])
+    extent = np.array([depth + 2 * _MARGIN, width + 2 * _MARGIN,
                        trunk_height + 0.5])
     dims = tuple(int(np.ceil(e / resolution)) for e in extent)
     grid = build_esdf(cloud, origin, dims, resolution)
@@ -411,18 +415,22 @@ def make_forest_arena(seed: int, intensity: float = 1.0 / 16.0,
 
 
 def empty_arena(area=(16.0, 50.0), resolution: float = 0.5,
-                margin: float = 3.0, height: float = 4.5) -> Arena:
+                height: float = 4.5) -> Arena:
     """Obstacle-free world (distance field saturated at the truncation)."""
     width, depth = area
-    origin = np.array([-margin, -width / 2 - margin, 0.0])
+    origin = np.array([-_MARGIN, -width / 2 - _MARGIN, 0.0])
     dims = tuple(int(np.ceil(e / resolution)) for e in
-                 (depth + 2 * margin, width + 2 * margin, height))
+                 (depth + 2 * _MARGIN, width + 2 * _MARGIN, height))
     grid = build_esdf(PointCloud(np.zeros((0, 3))), origin, dims, resolution)
     return Arena(grid, np.zeros((0, 2)), 0.15, height,
                  (0.0, depth, -width / 2, width / 2))
 
 
 # -- episode plumbing ---------------------------------------------------------
+
+_START = (0.0, 0.0)  # vehicle start (x, y) of every episode
+_TARGET_START = (4.0, 0.0)  # evader start (x, y) of a pursuit
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -507,22 +515,6 @@ class EpisodeMetrics:
     target_distances: np.ndarray = field(default_factory=lambda: np.zeros(0))
     flags: tuple = ()
 
-    def report(self) -> str:
-        lines = [
-            f"success            {self.success}",
-            f"failure_class      {self.failure_class}",
-            f"min_clearance_m    {self.min_clearance:.3f}",
-            f"smoothness_j2      {self.smoothness:.3f}",
-            f"fov_fraction       {self.fov_fraction:.3f}",
-            f"mean_latency_ms    {self.mean_latency_ms:.3f}",
-            f"final_distance_m   {self.final_distance:.3f}",
-            f"path_length_m      {self.path_length:.3f}",
-            f"duration_s         {self.duration:.2f}",
-        ]
-        if self.flags:
-            lines.append("flags              " + ",".join(self.flags))
-        return "\n".join(lines)
-
 
 def compute_metrics(log: EpisodeLog, grid: EsdfGrid, success: bool,
                     failure_class: str, final_distance: float,
@@ -532,7 +524,7 @@ def compute_metrics(log: EpisodeLog, grid: EsdfGrid, success: bool,
     acc = np.asarray(log.acceleration, float).reshape(-1, 3)
     dt = log.control_dt
     if len(pos):
-        dist, _, _ = grid.query(pos, with_grad=False)
+        dist, _ = grid.query(pos, with_grad=False)
         min_clear = float(np.min(dist))
         path_len = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
     else:
@@ -633,8 +625,8 @@ class _Planner:
             traj = Trajectory.from_boundary(d_F, d_P, self.T)
             # executed-clearance check over the first half horizon
             ts = np.linspace(0.0, self.T / 2, 11)
-            dist, _, _ = self.arena.grid.query(traj.sample_many(ts),
-                                               with_grad=False)
+            dist, _ = self.arena.grid.query(traj.sample_many(ts),
+                                            with_grad=False)
             self.emergency = bool(
                 np.min(dist) < p.emergency_factor * p.collision_radius)
         else:
@@ -731,7 +723,6 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
                          backend: str = "refiner",
                          head: PolicyHead | None = None,
                          log_path=None,
-                         start=(0.0, 0.0), target_start=(4.0, 0.0),
                          switches: int = 1) -> EpisodeMetrics:
     """Closed-loop pursuit of a scripted evader through the arena.
 
@@ -746,17 +737,18 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
     evader = EvaderScript(arena.trunks, arena.bounds, evader_speed,
                           height=p.flight_height, switches=switches,
                           rng=np.random.default_rng(seed + 1))
-    goal_y = float(rng.uniform(-3.0, 3.0)) if evader_speed > 0 else target_start[1]
-    evader.set_course(target_start,
-                      (target_start[0] + course_length, goal_y))
-    yaw0 = float(np.arctan2(target_start[1] - start[1],
-                            target_start[0] - start[0]))
-    state = QuadState.hover([*start, p.flight_height], yaw0, p.mass)
+    goal_y = float(rng.uniform(-3.0, 3.0)) if evader_speed > 0 \
+        else _TARGET_START[1]
+    evader.set_course(_TARGET_START,
+                      (_TARGET_START[0] + course_length, goal_y))
+    yaw0 = float(np.arctan2(_TARGET_START[1] - _START[1],
+                            _TARGET_START[0] - _START[0]))
+    state = QuadState.hover([*_START, p.flight_height], yaw0, p.mass)
     planner = _Planner(arena, p, backend, head)
     planner_dt = 1.0 / p.planner_rate
     est: TargetEstimate | None = None
     lost_time = 0.0
-    goal_p = np.array([*target_start, p.flight_height])
+    goal_p = np.array([*_TARGET_START, p.flight_height])
     grace = None
 
     def cycle(state, t, yaw_cmd, log):  # detect, filter, lead the target
@@ -834,8 +826,7 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
                            goal_distance: float = 40.0,
                            backend: str = "refiner",
                            head: PolicyHead | None = None,
-                           log_path=None,
-                           start=(0.0, 0.0)) -> EpisodeMetrics:
+                           log_path=None) -> EpisodeMetrics:
     """Closed-loop flight to a fixed goal straight ahead of the start.
 
     Success requires reaching the goal radius without collision or stall
@@ -845,13 +836,13 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
     rather than crashed.
     """
     p = params
-    state = QuadState.hover([*start, p.flight_height], 0.0, p.mass)
-    goal = np.array([start[0] + goal_distance, start[1], p.flight_height])
+    state = QuadState.hover([*_START, p.flight_height], 0.0, p.mass)
+    goal = np.array([_START[0] + goal_distance, _START[1], p.flight_height])
 
     def distance(state):
         return float(np.linalg.norm(goal - state.position))
 
-    gdist, _, _ = arena.grid.query(goal, with_grad=False)
+    gdist, _ = arena.grid.query(goal, with_grad=False)
     if float(gdist) <= p.collision_radius:
         return compute_metrics(EpisodeLog(p.control_dt), arena.grid, False,
                                "target_missed", distance(state),

@@ -19,6 +19,8 @@ __all__ = [
 ]
 
 _H = np.hstack([np.eye(3), np.zeros((3, 3))])  # measurement matrix
+_POSITION_VAR = 1.0  # initial position variance of a new track, m^2
+_VELOCITY_VAR = 4.0  # initial velocity variance of a new track, m^2/s^2
 
 
 def process_noise(q: float, dt: float) -> np.ndarray:
@@ -47,11 +49,10 @@ class TargetEstimate:
             object.__setattr__(self, "R_m", np.asarray(self.R_m, float))
 
     @classmethod
-    def from_position(cls, position, position_var: float = 1.0,
-                      velocity_var: float = 4.0, **kw) -> "TargetEstimate":
+    def from_position(cls, position) -> "TargetEstimate":
         x = np.concatenate([np.asarray(position, float), np.zeros(3)])
-        P = np.diag([position_var] * 3 + [velocity_var] * 3)
-        return cls(x, P, **kw)
+        P = np.diag([_POSITION_VAR] * 3 + [_VELOCITY_VAR] * 3)
+        return cls(x, P)
 
     @property
     def position(self) -> np.ndarray:

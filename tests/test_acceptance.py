@@ -113,8 +113,7 @@ def test_esdf_brute_force_and_trilinear_gradient():
         frac = u - np.floor(u)
         if np.any(frac < 0.1) or np.any(frac > 0.9):
             continue  # interior of a cell: the interpolant is differentiable
-        _, g, oob = grid.query(p)
-        assert not oob
+        _, g = grid.query(p)
         fd = np.zeros(3)
         for ax in range(3):
             e = np.zeros(3)

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primtrack import cli
 from primtrack.config import _SCHEMA, RunConfig, example_text
-from primtrack.simulator import make_forest_arena
+from primtrack.costs import CostWeights, PotentialParams
+from primtrack.policy import StateSampler
+from primtrack.primitives import LatticeConfig
+from primtrack.simulator import SimParams, make_forest_arena
 
 
 def test_defaults_round_trip_identity():
@@ -53,10 +57,40 @@ def test_value_types_preserved():
 
 def test_save_load_file_round_trip(tmp_path):
     cfg = RunConfig.loads("[run]\nseeds = 3 5 7\n")
-    cfg.save(tmp_path / "c.ini")
+    (tmp_path / "c.ini").write_text(cfg.dumps(annotate=True))
     back = RunConfig.load(tmp_path / "c.ini")
-    assert back.values == cfg.values
+    assert back == cfg
     assert back.seeds == [3, 5, 7]
+
+
+_WORDS = {("run", "backend"): ("refiner", "head"),
+          ("train", "optimizer"): ("sgd", "momentum", "adam"),
+          ("train", "mode"): ("navigation", "tracking")}
+_INT_LISTS = {("run", "seeds"), ("train", "hidden")}
+
+
+def _valid_value(sec, key, default):
+    if (sec, key) in _WORDS:
+        return st.sampled_from(_WORDS[sec, key])
+    if (sec, key) in _INT_LISTS:
+        return st.lists(st.integers(0, 10**6), min_size=1, max_size=5).map(
+            lambda xs: " ".join(map(str, xs)))
+    if isinstance(default, int):
+        return st.integers(-10**9, 10**9)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+_CONFIGS = st.fixed_dictionaries({
+    sec: st.fixed_dictionaries({
+        key: _valid_value(sec, key, default)
+        for key, (default, _) in keys.items()})
+    for sec, keys in _SCHEMA.items()}).map(RunConfig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_CONFIGS, annotate=st.booleans())
+def test_dumps_loads_identity(cfg, annotate):
+    assert RunConfig.loads(cfg.dumps(annotate)) == cfg
 
 
 def test_lattice_builder():
@@ -85,6 +119,16 @@ def test_forest_arena_builder():
     spaced = RunConfig.loads("[simulator]\nmin_spacing = 4.0\n").forest_arena(0)
     gaps = np.linalg.norm(spaced.trunks[:, None] - spaced.trunks[None], axis=-1)
     assert np.min(gaps + 1e9 * np.eye(len(gaps))) >= 4.0
+
+
+def test_builders_match_dataclass_defaults():
+    # one default per key: the schema's value and the dataclass field agree
+    cfg = RunConfig()
+    assert cfg.sim_params() == SimParams()
+    assert cfg.sampler() == StateSampler()
+    assert cfg.cost_weights() == CostWeights()
+    assert cfg.lattice_config() == LatticeConfig()
+    assert cfg.potential_params(1.25) == PotentialParams(dt=1.25 / 20.0)
 
 
 def test_cost_and_sampler_builders():

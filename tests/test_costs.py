@@ -9,7 +9,8 @@ from primtrack.costs import (CostEngine, CostWeights, PotentialParams,
                              goal, jerk_gram_matrix, smooth_l1,
                              smooth_l1_grad, smoothness)
 from primtrack.environment import PointCloud, build_esdf
-from primtrack.primitives import LatticeConfig, build_library
+from primtrack.primitives import (LatticeConfig, build_library,
+                                  spherical_endpoint)
 from primtrack.trajectory import Trajectory
 
 
@@ -100,7 +101,7 @@ def test_collision_matches_brute_force_sum():
         traj = Trajectory.from_boundary(d_F, d_P, 1.25)
         ref = 0.0
         for k in range(21):
-            d, _, _ = grid.query(traj.sample(k * pot.dt))
+            d, _ = grid.query(traj.sample(k * pot.dt))
             if d < pot.cutoff:
                 ref += np.exp((pot.d_safe - d) / pot.falloff) * pot.dt
         assert np.isclose(J, ref, rtol=1e-9)
@@ -134,19 +135,79 @@ def test_goal_tracking_quadratic():
     assert np.allclose(grad, 2 * (p - g))
 
 
-def test_goal_navigation_rescales_to_radius():
-    origin = np.array([1.0, 0.0, 0.0])
-    g = origin + np.array([40.0, 0.0, 0.0])
-    p = origin + np.array([5.0, 0.0, 0.0])
-    J, _ = goal(p, g, mode="navigation", radius=5.0, origin=origin)
-    assert np.isclose(J, 0.0)  # endpoint at the rescaled goal exactly
-    with pytest.raises(ValueError):
-        goal(p, g, mode="navigation")  # radius required
-    with pytest.raises(ValueError):
-        goal(p, origin, mode="navigation", radius=5.0, origin=origin)
-
-
 # -- chain rule --------------------------------------------------------------------
+
+def _spherical_jacobian(theta, phi, r):
+    """d endpoint / d (theta, phi, r), shape (..., 3, 3), columns in that
+    order: the decode's Jacobian, written out entry by entry."""
+    theta, phi, r = np.broadcast_arrays(np.asarray(theta, float), phi, r)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    J = np.empty(theta.shape + (3, 3))
+    J[..., 0, 0] = -r * st * cp
+    J[..., 1, 0] = -r * st * sp
+    J[..., 2, 0] = r * ct
+    J[..., 0, 1] = -r * ct * sp
+    J[..., 1, 1] = r * ct * cp
+    J[..., 2, 1] = 0.0
+    J[..., 0, 2] = ct * cp
+    J[..., 1, 2] = ct * sp
+    J[..., 2, 2] = st
+    return J
+
+
+def _oracle_chain_rule(grad_dP, raw, thetas, phis, radii, cfg, alpha, v_max,
+                       a_max, R):
+    """Raw-variable gradient through the spherical Jacobian, the camera
+    rotation and the tanh bounds, one factor at a time."""
+    th = thetas + np.tanh(raw[:, 0]) * cfg.d_theta
+    ph = phis + np.tanh(raw[:, 1]) * cfg.d_phi
+    rr = radii * (1.0 + np.tanh(raw[:, 2]))
+    g_sph = np.einsum("na,nae->ne", grad_dP[:, :, 0] @ R,
+                      _spherical_jacobian(th, ph, rr))
+    sech2 = 1.0 - np.tanh(raw) ** 2
+    out = np.empty((len(raw), 9))
+    out[:, 0] = g_sph[:, 0] * sech2[:, 0] * cfg.d_theta
+    out[:, 1] = g_sph[:, 1] * sech2[:, 1] * cfg.d_phi
+    out[:, 2] = g_sph[:, 2] * sech2[:, 2] * radii
+    out[:, 3:6] = (grad_dP[:, :, 1] @ R) * sech2[:, 3:6] * alpha * v_max
+    out[:, 6:9] = (grad_dP[:, :, 2] @ R) * sech2[:, 6:9] * alpha ** 2 * a_max
+    return out
+
+
+def test_spherical_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(1)
+    h = 1e-6
+    for _ in range(100):
+        th, ph = rng.uniform(-1.2, 1.2), rng.uniform(-np.pi, np.pi)
+        r = rng.uniform(0.5, 6.0)
+        J = _spherical_jacobian(th, ph, r)
+        fd = np.column_stack([
+            (spherical_endpoint(th + h, ph, r)
+             - spherical_endpoint(th - h, ph, r)) / (2 * h),
+            (spherical_endpoint(th, ph + h, r)
+             - spherical_endpoint(th, ph - h, r)) / (2 * h),
+            (spherical_endpoint(th, ph, r + h)
+             - spherical_endpoint(th, ph, r - h)) / (2 * h)])
+        assert np.allclose(J, fd, atol=1e-6)
+
+
+def test_chain_rule_batch_matches_jacobian_oracle():
+    rng = np.random.default_rng(5)
+    cfg = LatticeConfig()
+    anchors = build_library(cfg)
+    th = np.array([a.theta for a in anchors])
+    ph = np.array([a.phi for a in anchors])
+    rr = np.array([a.r for a in anchors])
+    for alpha in (0.5, 1.0, 2.0):
+        R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        raw = rng.normal(size=(15, 9))
+        grad_dP = rng.normal(size=(15, 3, 3))
+        got = chain_rule_batch(grad_dP, raw, th, ph, rr, cfg, alpha, 8.0,
+                               6.0, R)
+        ref = _oracle_chain_rule(grad_dP, raw, th, ph, rr, cfg, alpha, 8.0,
+                                 6.0, R)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 def test_chain_rule_matches_finite_differences_no_grid():
     rng = np.random.default_rng(4)
@@ -171,13 +232,13 @@ def test_decode_raw_batch_zero_offsets_hit_anchors():
     cfg = LatticeConfig()
     anchors = build_library(cfg)
     raw = np.zeros((len(anchors), 9))
-    d_P, (th, ph, rr) = decode_raw_batch(
+    d_P = decode_raw_batch(
         raw, [a.theta for a in anchors], [a.phi for a in anchors],
         [a.r for a in anchors], cfg, 1.0, 8.0, 6.0)
     for k, a in enumerate(anchors):
         assert np.allclose(d_P[k, :, 0], a.endpoint, atol=1e-12)
     assert np.allclose(d_P[:, :, 1:], 0.0)
-    assert np.allclose(rr, cfg.r)
+    assert np.allclose(np.linalg.norm(d_P[:, :, 0], axis=1), cfg.r)
 
 
 # -- engine consistency ---------------------------------------------------------
@@ -201,9 +262,9 @@ def test_engine_matches_modular_functions():
                        rtol=1e-12)
     grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
     grad_dP[:, :, 0] += w.lambda_g * g_g
-    ref = chain_rule_batch(grad_dP, raw, eng.thetas, eng.phis, eng.radii,
-                           eng.cfg, eng.alpha, eng.v_max, eng.a_max,
-                           eng.rotation)
+    ref = _oracle_chain_rule(grad_dP, raw, eng.thetas, eng.phis, eng.radii,
+                             eng.cfg, eng.alpha, eng.v_max, eng.a_max,
+                             eng.rotation)
     assert np.allclose(grad, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -242,6 +303,10 @@ def test_engine_navigation_rescales_goal():
     rng = np.random.default_rng(10)
     eng = _engine(None, rng, mode="navigation")
     assert np.isclose(np.linalg.norm(eng.goal_p - eng.position), eng.cfg.r)
+    with pytest.raises(ValueError):  # no direction to the goal
+        CostEngine(None, eng.d_F, 1.25, eng.cfg, 1.0, 8.0, 6.0,
+                   goal_p=eng.position, mode="navigation",
+                   position=eng.position)
 
 
 # -- losses ----------------------------------------------------------------------

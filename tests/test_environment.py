@@ -138,13 +138,16 @@ def _random_grid(rng, dims=(14, 12, 10), res=0.3):
     return build_esdf(PointCloud(pts), (-0.3, -0.3, -0.3), dims, res)
 
 
+def _voxel_center(grid, idx):
+    return grid.origin + (np.asarray(idx, float) + 0.5) * grid.resolution
+
+
 def test_query_value_matches_voxel_centers():
     rng = np.random.default_rng(1)
     grid = _random_grid(rng)
     for idx in [(0, 0, 0), (3, 5, 2), (13, 11, 9)]:
-        val, _, oob = grid.query(grid.voxel_center(idx))
+        val, _ = grid.query(_voxel_center(grid, idx))
         assert np.isclose(val, grid.distance[idx], atol=1e-12)
-        assert not oob
 
 
 def test_query_gradient_matches_finite_differences_in_cell():
@@ -159,8 +162,7 @@ def test_query_gradient_matches_finite_differences_in_cell():
         frac = u - np.floor(u)
         if np.any(frac < 0.2) or np.any(frac > 0.8):
             continue  # stay inside one cell so the interpolant is smooth
-        _, g, oob = grid.query(p)
-        assert not oob
+        _, g = grid.query(p)
         fd = np.zeros(3)
         for ax in range(3):
             e = np.zeros(3)
@@ -176,8 +178,8 @@ def test_query_face_gradient_is_slope_average():
     dist = np.zeros((4, 3, 3))
     dist[0], dist[1], dist[2], dist[3] = 0.0, 1.0, 3.0, 6.0
     grid = EsdfGrid(np.zeros(3), 1.0, dist, 4.0)
-    p = grid.voxel_center((1, 1, 1))  # x exactly on the face between cells
-    _, g, _ = grid.query(p)
+    p = _voxel_center(grid, (1, 1, 1))  # x exactly on the face between cells
+    _, g = grid.query(p)
     assert np.isclose(g[0], 0.5 * ((1 - 0) + (3 - 1)))
     assert np.isclose(g[1], 0.0) and np.isclose(g[2], 0.0)
 
@@ -187,11 +189,10 @@ def test_query_out_of_band_clamps_with_zero_gradient():
     grid = _random_grid(rng)
     low, high = grid.bounds()
     p = np.array([low[0] - 2.0, (low[1] + high[1]) / 2, (low[2] + high[2]) / 2])
-    val, g, oob = grid.query(p)
+    val, g = grid.query(p)
     clamped = p.copy()
     clamped[0] = low[0]
-    ref, _, _ = grid.query(clamped)
-    assert oob
+    ref, _ = grid.query(clamped)
     assert np.isclose(val, ref, atol=1e-12)
     assert g[0] == 0.0  # clamped axis carries no gradient
 
@@ -200,9 +201,9 @@ def test_query_batched_shapes():
     rng = np.random.default_rng(4)
     grid = _random_grid(rng)
     pts = rng.uniform(0.0, 2.0, size=(6, 7, 3))
-    val, g, oob = grid.query(pts)
-    assert val.shape == (6, 7) and g.shape == (6, 7, 3) and oob.shape == (6, 7)
-    val2, g2, _ = grid.query(pts.reshape(-1, 3))
+    val, g = grid.query(pts)
+    assert val.shape == (6, 7) and g.shape == (6, 7, 3)
+    val2, g2 = grid.query(pts.reshape(-1, 3))
     assert np.allclose(val.ravel(), val2) and np.allclose(g.reshape(-1, 3), g2)
 
 
@@ -242,14 +243,13 @@ def _oracle_query(grid, p, with_grad=True):
     P = p.reshape(-1, 3)
     hi = dims.astype(float) - 1.0
     u_raw = (P - grid.origin) / grid.resolution - 0.5
-    oob_ax = (u_raw < -1e-12) | (u_raw > hi + 1e-12)
-    oob = np.any(oob_ax, axis=-1)
+    clamped = (u_raw < -1e-12) | (u_raw > hi + 1e-12)
     u = np.clip(u_raw, 0.0, hi)
     hi_cell = dims - 2
     if not with_grad:
         i0 = np.clip(np.floor(u).astype(np.intp), 0, hi_cell)
         val, _ = cell_eval(gather(i0), u - i0)
-        return val.reshape(shape), None, oob.reshape(shape)
+        return val.reshape(shape), None
     h = 1e-3
     im = np.clip(np.floor(u - h).astype(np.intp), 0, hi_cell)
     ip = np.clip(np.floor(u + h).astype(np.intp), 0, hi_cell)
@@ -259,8 +259,8 @@ def _oracle_query(grid, p, with_grad=True):
         _, gp = cell_eval(gather(ip[mixed]), u[mixed] - ip[mixed])
         grad[mixed] = 0.5 * (grad[mixed] + gp)
     grad /= grid.resolution
-    grad[oob_ax] = 0.0
-    return val.reshape(shape), grad.reshape(p.shape), oob.reshape(shape)
+    grad[clamped] = 0.0
+    return val.reshape(shape), grad.reshape(p.shape)
 
 
 _QUERY_GRID = build_esdf(
@@ -288,24 +288,22 @@ def _query_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(p=_query_points())
 def test_query_value_does_not_depend_on_gradient(p):
-    val, _, oob = _QUERY_GRID.query(p, True)
-    val_free, grad_free, oob_free = _QUERY_GRID.query(p, False)
+    val, _ = _QUERY_GRID.query(p, True)
+    val_free, grad_free = _QUERY_GRID.query(p, False)
     assert grad_free is None
     assert np.array_equal(val, val_free)
-    assert np.array_equal(oob, oob_free)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=_query_points())
 def test_query_matches_reference(p):
     grid = _QUERY_GRID
-    val, grad, oob = grid.query(p, True)
-    val_free, _, oob_free = grid.query(p, False)
-    ref_free, _, ref_oob = _oracle_query(grid, p, False)
-    ref_val, ref_grad, _ = _oracle_query(grid, p, True)
+    val, grad = grid.query(p, True)
+    val_free, _ = grid.query(p, False)
+    ref_free, _ = _oracle_query(grid, p, False)
+    ref_val, ref_grad = _oracle_query(grid, p, True)
     assert np.array_equal(val_free, ref_free)
     assert np.array_equal(grad, ref_grad)
-    assert np.array_equal(oob, ref_oob) and np.array_equal(oob_free, ref_oob)
     # the reference reads a gradient query's value from the lower cell when
     # a face is within 1e-3 lattice units; away from faces both agree
     u = (p - grid.origin) / grid.resolution - 0.5

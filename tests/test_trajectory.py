@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from primtrack.trajectory import (Trajectory, evaluate, hermite_matrix,
                                   power_row, time_scale,
@@ -98,3 +100,18 @@ def test_time_scale_rejects_nonpositive():
     traj = Trajectory.from_boundary(np.zeros((3, 3)), np.eye(3), 1.0)
     with pytest.raises(ValueError):
         time_scale(traj, 0.0)
+
+
+_STATES = arrays(float, (3, 3), elements=st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d_F=_STATES, d_P=_STATES, T=st.floats(0.1, 10.0))
+def test_boundary_round_trip(d_F, d_P, T):
+    # sampled at 0 and T, orders 0-2 give back the boundary states
+    traj = Trajectory.from_boundary(d_F, d_P, T)
+    for order in range(3):
+        assert np.allclose(traj.sample(0.0, order), d_F[:, order],
+                           rtol=1e-9, atol=1e-9)
+        assert np.allclose(traj.sample(T, order), d_P[:, order],
+                           rtol=1e-7, atol=1e-7)
