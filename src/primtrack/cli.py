@@ -25,7 +25,7 @@ from .environment import (PointCloud, build_esdf, load_cloud, raycast,
 from .policy import (HeadOptimizer, PolicyHead, assign_samples,
                      backward_and_step, compute_features, load_head,
                      sample_training_state, save_head)
-from .primitives import LatticeConfig, build_library, horizon
+from .primitives import LatticeConfig
 from .simulator import run_navigation_episode, run_tracking_episode
 from .trajectory import hermite_matrix, power_row
 
@@ -187,10 +187,10 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         d_P = np.column_stack([rng.uniform([2, -3, 0], [7, 3, 3]),
                                rng.normal(size=3), rng.normal(size=3)])
         T = 1.25
-        pot = PotentialParams(dt=T / 20.0)
+        pot = PotentialParams()
         coeffs = np.concatenate([d_F, d_P], axis=1) @ hermite_matrix(T).T
         samples = np.stack([coeffs @ power_row(t, 0)
-                            for t in np.arange(21) * pot.dt])
+                            for t in np.arange(21) * (T / 20)])
         if _near_cell_face(grid, samples):
             continue
         J, ga = collision(d_F, d_P, T, grid, pot)
@@ -210,15 +210,10 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         position = rng.uniform([0, -2, 0.5], [2, 2, 2])
         d_F = np.column_stack([position, rng.normal(size=3),
                                rng.normal(size=3)])
-        T = 1.25
-        engine = CostEngine(grid, d_F, T, cfg, 1.0, 8.0, 6.0,
+        engine = CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0,
                             goal_p=position + R @ np.array([6.0, 0.5, 0.0]),
                             rotation=R, position=position, use_kernel=False)
-        anchors = build_library(cfg)
-        engine.set_anchors([a.theta for a in anchors],
-                           [a.phi for a in anchors],
-                           [a.r for a in anchors])
-        raw = rng.normal(size=(len(anchors), 9)) * 0.5
+        raw = rng.normal(size=(cfg.n_cells, 9)) * 0.5
         total, _, ga = engine.evaluate(raw)
         d = engine.decode(raw)
         coeffs = np.concatenate(
@@ -227,7 +222,7 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         if _near_cell_face(grid, np.ascontiguousarray(
                 samples.swapaxes(1, 2))):
             continue
-        i = int(rng.integers(len(anchors)))
+        i = int(rng.integers(cfg.n_cells))
         gf = _fd_grad(
             lambda x: float(engine.evaluate(x[None], with_grad=False,
                                             idx=np.array([i]))[0][0]),
@@ -360,12 +355,10 @@ def build_training_frames(cfg: RunConfig, records: list[dict],
     lattice = cfg.lattice_config()
     sim = cfg["simulator"]
     alpha, v_max, a_max = sim["alpha"], sim["v_max"], sim["a_max"]
-    T = horizon(lattice, alpha, v_max)
     weights = cfg.cost_weights()
-    pot = cfg.potential_params(T)
+    pot = cfg.potential_params()
     sampler = cfg.sampler()
     mode = cfg["train"]["mode"]
-    anchors = build_library(lattice)
     cam0 = CameraModel.for_lattice(lattice)
     frames = []
     for rec in records:
@@ -383,15 +376,10 @@ def build_training_frames(cfg: RunConfig, records: list[dict],
         else:
             goal_p = np.asarray(target, float)
         engine = CostEngine(rec["grid"],
-                            np.column_stack([position, v_w, a_w]), T,
-                            lattice, alpha, v_max, a_max, goal_p,
-                            mode="navigation" if mode == "navigation"
-                            else "tracking",
+                            np.column_stack([position, v_w, a_w]), lattice,
+                            alpha, v_max, a_max, goal_p, mode=mode,
                             weights=weights, potential=pot, rotation=R,
                             position=position)
-        engine.set_anchors([a.theta for a in anchors],
-                           [a.phi for a in anchors],
-                           [a.r for a in anchors])
         assignment = assign_samples(target, cam, lattice, rec["grid"]) \
             if mode == "tracking" else None
         frames.append({"features": feats, "engine": engine, "cfg": lattice,

@@ -20,6 +20,8 @@ from .simulator import Arena, DetectionSim, SimParams, make_forest_arena
 __all__ = ["RunConfig", "example_text"]
 
 _NP = "tuned default"
+_TRAIN_ONLY = "training only: flights do not read it"
+_MODES = ("navigation", "tracking")
 
 # (default, help) per key; a trailing "*" in help marks tuned defaults
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -37,13 +39,14 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "cost": {
         "lambda_s": (0.1, "smoothness weight *"),
-        "lambda_c": (1.0, "collision weight *"),
+        "lambda_c": (1.0, f"collision weight; {_TRAIN_ONLY} (they use "
+                     "[simulator] collision_weight) *"),
         "lambda_g": (1.0, "goal weight *"),
-        "lambda_1": (0.2, "non-positive sample weight *"),
-        "lambda_2": (0.5, "negative objectness weight *"),
-        "d_safe": (0.4, "potential safety distance, meters *"),
-        "falloff": (0.4, "potential decay scale, meters *"),
-        "cutoff": (2.0, "potential cutoff distance, meters *"),
+        "lambda_1": (0.2, f"non-positive sample weight; {_TRAIN_ONLY} *"),
+        "lambda_2": (0.5, f"negative objectness weight; {_TRAIN_ONLY} *"),
+        "d_safe": (0.4, f"potential safety distance, meters; {_TRAIN_ONLY} *"),
+        "falloff": (0.4, f"potential decay scale, meters; {_TRAIN_ONLY} *"),
+        "cutoff": (2.0, f"potential cutoff distance, meters; {_TRAIN_ONLY} *"),
     },
     "observer": {
         "mass": (1.0, "vehicle mass, kilograms *"),
@@ -99,7 +102,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "learning_rate": (1e-3, "head learning rate"),
         "optimizer": ("sgd", "sgd | momentum | adam *"),
         "hidden": ("64 64", "hidden layer widths *"),
-        "mode": ("navigation", "training frame mode *"),
+        "mode": ("navigation", "training frame mode: navigation | tracking *"),
         "frames": (50, "frames generated by make-dataset *"),
         "obstacles": (3, "obstacle columns per generated scene *"),
     },
@@ -132,6 +135,9 @@ class RunConfig:
                 if key not in _SCHEMA[sec]:
                     raise ValueError(f"unknown key {key!r} in section [{sec}]")
                 merged[sec][key] = val
+        if merged["train"]["mode"] not in _MODES:
+            raise ValueError(f"[train] mode must be one of {', '.join(_MODES)}"
+                             f", got {merged['train']['mode']!r}")
         self.values = merged
 
     def __getitem__(self, section: str) -> dict:
@@ -193,10 +199,9 @@ class RunConfig:
         return CostWeights(c["lambda_s"], c["lambda_c"], c["lambda_g"],
                            c["lambda_1"], c["lambda_2"])
 
-    def potential_params(self, horizon_T: float) -> PotentialParams:
+    def potential_params(self) -> PotentialParams:
         c = self["cost"]
-        return PotentialParams(c["d_safe"], c["falloff"], c["cutoff"],
-                               dt=horizon_T / 20.0)
+        return PotentialParams(c["d_safe"], c["falloff"], c["cutoff"])
 
     def forest_arena(self, seed: int, clear_points=()) -> Arena:
         """The configured Poisson forest and its distance field."""

@@ -19,6 +19,11 @@ __all__ = ["Command", "ObserverState", "flatness_commands", "observer_step",
 GRAVITY = 9.8  # m/s^2, world z up
 _EZ = np.array([0.0, 0.0, 1.0])
 _EPS = 1e-6  # norms below this leave a command direction undefined
+# observer gains: momentum and disturbance innovation gains, and the time
+# scale zeta they are divided by (zeta and zeta^2)
+_ALPHA1 = 2.0
+_ALPHA2 = 1.0
+_ZETA = 0.05
 
 
 @dataclass(frozen=True)
@@ -85,24 +90,17 @@ class ObserverState:
 
     z1_hat: np.ndarray  # kg m/s
     z2_hat: np.ndarray  # newtons (disturbance estimate)
-    alpha1: float = 2.0
-    alpha2: float = 1.0
-    zeta: float = 0.05
     mass: float = 1.0
     stability_flag: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "z1_hat", np.asarray(self.z1_hat, float))
         object.__setattr__(self, "z2_hat", np.asarray(self.z2_hat, float))
-        if not (0.0 < self.zeta < 1.0):
-            raise ValueError("zeta must lie in (0, 1)")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise ValueError("observer gains must be positive")
 
     @classmethod
-    def initial(cls, velocity=None, mass: float = 1.0, **kw) -> "ObserverState":
+    def initial(cls, velocity=None, mass: float = 1.0) -> "ObserverState":
         v = np.zeros(3) if velocity is None else np.asarray(velocity, float)
-        return cls(mass * v, np.zeros(3), mass=mass, **kw)
+        return cls(mass * v, np.zeros(3), mass=mass)
 
     @property
     def disturbance(self) -> np.ndarray:
@@ -113,9 +111,9 @@ def observer_step(obs: ObserverState, v_meas, attitude, thrust: float,
                   dt: float) -> ObserverState:
     """Forward-Euler update from measured velocity and the last command.
 
-    Momentum innovation drives both estimates with gains scaled by 1/zeta
-    and 1/zeta^2. Steps larger than zeta/2 violate the stiff-integration
-    margin and set the stability flag.
+    Momentum innovation drives both estimates with gains alpha1/zeta and
+    alpha2/zeta^2 (2/0.05 and 1/0.05^2). Steps larger than zeta/2 violate
+    the stiff-integration margin and set the stability flag.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -123,9 +121,9 @@ def observer_step(obs: ObserverState, v_meas, attitude, thrust: float,
     err = z1 - obs.z1_hat
     thrust_force = np.asarray(attitude, float) @ _EZ * thrust
     z1_dot = thrust_force - obs.mass * GRAVITY * _EZ + obs.z2_hat \
-        + (obs.alpha1 / obs.zeta) * err
-    z2_dot = (obs.alpha2 / obs.zeta ** 2) * err
+        + (_ALPHA1 / _ZETA) * err
+    z2_dot = (_ALPHA2 / _ZETA ** 2) * err
     return replace(obs,
                    z1_hat=obs.z1_hat + dt * z1_dot,
                    z2_hat=obs.z2_hat + dt * z2_dot,
-                   stability_flag=dt > obs.zeta / 2)
+                   stability_flag=dt > _ZETA / 2)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .environment import EsdfGrid
-from .primitives import LatticeConfig
+from .primitives import LatticeConfig, build_library, horizon
 from .trajectory import hermite_matrix, power_row
 
 __all__ = [
@@ -57,13 +57,12 @@ class CostWeights:
 @dataclass(frozen=True)
 class PotentialParams:
     """Exponential obstacle potential c(d) = exp(-(d - d_safe)/s), cut off
-    beyond `cutoff`; the trajectory is sampled every dt seconds.
+    beyond `cutoff`.
     """
 
     d_safe: float = 0.4
     falloff: float = 0.4
     cutoff: float = 2.0
-    dt: float = 0.1
 
     def __post_init__(self):
         if not self.falloff > 0:
@@ -132,14 +131,15 @@ def _coefficients(d_F, d_P, horizon_T: float) -> np.ndarray:
     return d @ hermite_matrix(horizon_T).T  # (N, 3, 6)
 
 
+_SAMPLES = 20  # the potential is sampled at 21 points, T/20 apart
+
+
 @lru_cache(maxsize=64)
-def _sample_rows(horizon_T: float, dt: float):
-    """Cached (powers (K, 6), powers @ M[:, 3:] (K, 3)) at the sample times."""
-    n_steps = horizon_T / dt
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError(f"dt={dt} does not divide horizon {horizon_T}")
-    K = int(round(n_steps)) + 1
-    powers = np.stack([power_row(k * dt, 0) for k in range(K)])
+def _sample_rows(horizon_T: float):
+    """Cached (powers (K, 6), powers @ M[:, 3:] (K, 3)) at the K = 21
+    sample times k T / 20."""
+    dt = horizon_T / _SAMPLES
+    powers = np.stack([power_row(k * dt, 0) for k in range(_SAMPLES + 1)])
     P = powers @ hermite_matrix(horizon_T)[:, 3:]
     powers.setflags(write=False)
     P.setflags(write=False)
@@ -150,22 +150,23 @@ def collision(d_F, d_P, horizon_T: float, grid: EsdfGrid,
               params: PotentialParams, need_grad: bool = True):
     """Time integral of the obstacle potential and its d_P gradient.
 
-    The trajectory is sampled at multiples of params.dt (which must divide
-    the horizon); out-of-bounds samples use clamped field queries. With
-    need_grad=False the gradient is skipped (returned as None).
+    The trajectory is sampled at 21 points, T/20 apart, endpoints included;
+    out-of-bounds samples use clamped field queries. With need_grad=False
+    the gradient is skipped (returned as None).
     """
-    powers, P = _sample_rows(float(horizon_T), float(params.dt))
+    powers, P = _sample_rows(float(horizon_T))
+    dt = horizon_T / _SAMPLES
     coeffs = _coefficients(d_F, d_P, horizon_T)  # (N, 3, 6)
     batched = np.asarray(d_P).ndim == 3
     pos = np.einsum("nac,kc->nka", coeffs, powers)  # (N, K, 3)
     dist, grad_d = grid.query(pos, with_grad=need_grad)
     c, c_slope = params.value_and_slope(dist)
-    J = c.sum(axis=1) * params.dt
+    J = c.sum(axis=1) * dt
     if not need_grad:
         return (J, None) if batched else (float(J[0]), None)
     # dJ/dd_P[axis, comp] = sum_k c'(d) * dd/dx_axis * (T_k . L_P)[comp] dt
     dcdx = c_slope[..., None] * grad_d  # (N, K, 3)
-    grad = np.einsum("nka,kc->nac", dcdx, P) * params.dt
+    grad = np.einsum("nka,kc->nac", dcdx, P) * dt
     if not batched:
         return float(J[0]), grad[0]
     return J, grad
@@ -183,22 +184,22 @@ def goal(d_P_position, goal_p):
 RAW_DIM = 9  # (y_theta, y_phi, y_r, y_v[3], y_a[3])
 
 
-def _geometry(raw, thetas, phis, radii, cfg: LatticeConfig):
+def _geometry(raw, thetas, phis, cfg: LatticeConfig):
     """tanh(raw) and the decode geometry: cos and sin of the decoded polar
     and azimuth angles, and the decoded radius."""
     y = np.tanh(raw)
     th = thetas + y[:, 0] * cfg.d_theta
     ph = phis + y[:, 1] * cfg.d_phi
-    rr = radii * (1.0 + y[:, 2])
+    rr = cfg.r * (1.0 + y[:, 2])
     return y, (np.cos(th), np.sin(th), np.cos(ph), np.sin(ph), rr)
 
 
-def _forward(raw, thetas, phis, radii, cfg: LatticeConfig, vel_scale,
-             acc_scale, R, position, out):
+def _forward(raw, thetas, phis, cfg: LatticeConfig, vel_scale, acc_scale,
+             R, position, out):
     """(tanh(raw), decode geometry, world end states): the end states of
     the raw rows are written to out, shape (N, 3, 3), columns (pos, vel,
     acc); R and position place the camera in the world."""
-    y, geo = _geometry(raw, thetas, phis, radii, cfg)
+    y, geo = _geometry(raw, thetas, phis, cfg)
     ct, st, cp, sp, rr = geo
     p_cam = np.empty((len(raw), 3))
     p_cam[:, 0] = rr * ct * cp
@@ -210,8 +211,8 @@ def _forward(raw, thetas, phis, radii, cfg: LatticeConfig, vel_scale,
     return y, geo, out
 
 
-def _backward(grad_dP, y, geo, radii, cfg: LatticeConfig, vel_scale,
-              acc_scale, R) -> np.ndarray:
+def _backward(grad_dP, y, geo, cfg: LatticeConfig, vel_scale, acc_scale,
+              R) -> np.ndarray:
     """Gradient w.r.t. the raw rows (N, 9) from end-state gradients (N, 3,
     3), through the world placement, the spherical decode and the tanh."""
     ct, st, cp, sp, rr = geo
@@ -223,43 +224,42 @@ def _backward(grad_dP, y, geo, radii, cfg: LatticeConfig, vel_scale,
     out = np.empty((len(y), RAW_DIM))
     out[:, 0] = g_th * sech2[:, 0] * cfg.d_theta
     out[:, 1] = g_ph * sech2[:, 1] * cfg.d_phi
-    out[:, 2] = g_r * sech2[:, 2] * radii
+    out[:, 2] = g_r * sech2[:, 2] * cfg.r
     out[:, 3:6] = (grad_dP[:, :, 1] @ R) * sech2[:, 3:6] * vel_scale
     out[:, 6:9] = (grad_dP[:, :, 2] @ R) * sech2[:, 6:9] * acc_scale
     return out
 
 
-def decode_raw_batch(raw: np.ndarray, thetas, phis, radii,
-                     cfg: LatticeConfig, alpha: float, v_max: float,
-                     a_max: float, rotation=None, position=None) -> np.ndarray:
-    """Decode raw (N, 9) trajectory variables into world end states (N, 3, 3).
+def decode_raw_batch(raw: np.ndarray, cfg: LatticeConfig, alpha: float,
+                     v_max: float, a_max: float, rotation=None,
+                     position=None) -> np.ndarray:
+    """Decode raw (n_cells, 9) trajectory variables, one row per lattice
+    anchor in flat order, into world end states (n_cells, 3, 3).
 
-    thetas/phis/radii are per-candidate anchor parameters; rotation/position
-    place the camera in the world (identity/origin when omitted).
+    rotation/position place the camera in the world (identity/origin when
+    omitted).
     """
     if not (alpha > 0 and v_max > 0 and a_max > 0):
         raise ValueError("scales must be positive")
     raw = np.atleast_2d(np.asarray(raw, float))
     R = np.eye(3) if rotation is None else np.asarray(rotation, float)
     position = 0.0 if position is None else np.asarray(position, float)
-    return _forward(raw, np.asarray(thetas, float), np.asarray(phis, float),
-                    np.asarray(radii, float), cfg, alpha * v_max,
+    return _forward(raw, *build_library(cfg), cfg, alpha * v_max,
                     alpha ** 2 * a_max, R, position,
                     np.empty((len(raw), 3, 3)))[2]
 
 
-def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray, thetas, phis,
-                     radii, cfg: LatticeConfig, alpha: float, v_max: float,
+def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray,
+                     cfg: LatticeConfig, alpha: float, v_max: float,
                      a_max: float, rotation=None) -> np.ndarray:
-    """Gradient w.r.t. raw variables, shape (N, 9), from d_P gradients."""
+    """Gradient w.r.t. raw variables, shape (n_cells, 9), from d_P
+    gradients; rows are lattice anchors in flat order."""
     raw = np.atleast_2d(np.asarray(raw, float))
     grad_dP = np.asarray(grad_dP, float).reshape(len(raw), 3, 3)
     R = np.eye(3) if rotation is None else np.asarray(rotation, float)
-    radii = np.asarray(radii, float)
-    y, geo = _geometry(raw, np.asarray(thetas, float),
-                       np.asarray(phis, float), radii, cfg)
-    return _backward(grad_dP, y, geo, radii, cfg, alpha * v_max,
-                     alpha ** 2 * a_max, R)
+    y, geo = _geometry(raw, *build_library(cfg), cfg)
+    return _backward(grad_dP, y, geo, cfg, alpha * v_max, alpha ** 2 * a_max,
+                     R)
 
 
 # -- losses -----------------------------------------------------------------
@@ -285,12 +285,13 @@ class CostEngine:
     """Batched trajectory-cost evaluation for a fixed frame context.
 
     Holds everything that is constant across candidates of one planning
-    cycle: the start state, horizon, field, goal, and decode parameters.
+    cycle: the start state, field, goal, and decode parameters. The anchors
+    (the lattice of cfg), the horizon T = horizon(cfg, alpha, v_max) and the
+    potential's sample step T / 20 are derived from them.
     """
 
-    grid: EsdfGrid | None
+    grid: EsdfGrid
     d_F: np.ndarray  # (3, 3) world start state
-    horizon_T: float
     cfg: LatticeConfig
     alpha: float
     v_max: float
@@ -298,10 +299,11 @@ class CostEngine:
     goal_p: np.ndarray
     mode: str = "tracking"  # goal scaling mode
     weights: CostWeights = field(default_factory=CostWeights)
-    potential: PotentialParams | None = None
+    potential: PotentialParams = field(default_factory=PotentialParams)
     rotation: np.ndarray = None  # type: ignore[assignment]  # world-from-camera
     position: np.ndarray = None  # type: ignore[assignment]
     use_kernel: bool = True  # compiled hot loop when numba is present
+    horizon_T: float = field(init=False)
 
     def __post_init__(self):
         self.d_F = np.asarray(self.d_F, float)
@@ -309,8 +311,6 @@ class CostEngine:
             self.rotation = np.eye(3)
         if self.position is None:
             self.position = np.zeros(3)
-        if self.potential is None:
-            self.potential = PotentialParams(dt=self.horizon_T / 20.0)
         self.goal_p = np.asarray(self.goal_p, float)
         if self.mode == "navigation":
             delta = self.goal_p - self.position
@@ -318,45 +318,41 @@ class CostEngine:
             if norm < 1e-9:
                 raise ValueError("navigation goal coincides with position")
             self.goal_p = self.position + delta / norm * self.cfg.r
-        T = float(self.horizon_T)
+        T = self.horizon_T = horizon(self.cfg, self.alpha, self.v_max)
         self._B = _hermite_gram(T)
         self._Mt = hermite_matrix(T).T
-        self._powers, self._P = _sample_rows(T, float(self.potential.dt))
+        self._powers, self._P = _sample_rows(T)
+        self._dt = T / _SAMPLES
         self._vel_scale = self.alpha * self.v_max
         self._acc_scale = self.alpha ** 2 * self.a_max
-        if self.grid is not None:
-            g = self.grid
-            nx, ny, nz = g.dims
-            self._grid_args = (True, g._flat, nx, ny, nz,
-                               g.origin, float(g.resolution))
-        else:
-            self._grid_args = (False, np.zeros(8), 2, 2, 2, np.zeros(3), 1.0)
+        g = self.grid
+        nx, ny, nz = g.dims
+        self._grid_args = (True, g._flat, nx, ny, nz, g.origin,
+                           float(g.resolution))
+        self.set_anchors()
 
-    def set_anchors(self, thetas, phis, radii) -> None:
-        self.thetas = np.asarray(thetas, float)
-        self.phis = np.asarray(phis, float)
-        self.radii = np.asarray(radii, float)
+    def set_anchors(self) -> None:
+        """Read the anchor angles, in flat order, from the lattice."""
+        self.thetas, self.phis = build_library(self.cfg)
 
     def decode(self, raw: np.ndarray) -> np.ndarray:
-        return decode_raw_batch(raw, self.thetas, self.phis, self.radii,
-                                self.cfg, self.alpha, self.v_max, self.a_max,
-                                self.rotation, self.position)
+        return decode_raw_batch(raw, self.cfg, self.alpha, self.v_max,
+                                self.a_max, self.rotation, self.position)
 
     def evaluate(self, raw: np.ndarray, with_grad: bool = True, idx=None):
         """Weighted cost per candidate and, optionally, raw-space gradients.
 
-        idx restricts the evaluation to a subset of the configured anchors
-        (raw rows must match). Returns (total (N,), parts dict, grad (N, 9)
-        or None). The decode and the chain rule are the helpers that
-        decode_raw_batch and chain_rule_batch use.
+        idx restricts the evaluation to a subset of the anchors (raw rows
+        must match). Returns (total (N,), parts dict, grad (N, 9) or None).
+        The decode and the chain rule are the helpers that decode_raw_batch
+        and chain_rule_batch use.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         n = len(raw)
-        anchor_th, anchor_ph, anchor_rr = self.thetas, self.phis, self.radii
+        anchor_th, anchor_ph = self.thetas, self.phis
         if idx is not None:
             anchor_th = anchor_th[idx]
             anchor_ph = anchor_ph[idx]
-            anchor_rr = anchor_rr[idx]
         if self.use_kernel and kernels.HAVE_NUMBA:
             w = self.weights
             pot = self.potential
@@ -366,18 +362,19 @@ class CostEngine:
             J_g = np.empty(n)
             grad_raw = np.empty((n, RAW_DIM)) if with_grad else np.empty((0, RAW_DIM))
             kernels.eval_batch(
-                np.ascontiguousarray(raw), anchor_th, anchor_ph, anchor_rr,
+                np.ascontiguousarray(raw), anchor_th, anchor_ph,
+                np.full(n, self.cfg.r),
                 self.cfg.d_theta, self.cfg.d_phi, self.d_F, self._B, self._Mt,
                 self._powers, self._P, self.rotation, self.position,
                 self.goal_p, self._vel_scale, self._acc_scale,
                 w.lambda_s, w.lambda_c, w.lambda_g,
-                pot.d_safe, pot.falloff, pot.cutoff, pot.dt,
+                pot.d_safe, pot.falloff, pot.cutoff, self._dt,
                 *self._grid_args, with_grad,
                 total, J_s, J_c, J_g, grad_raw)
             parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
             return total, parts, grad_raw if with_grad else None
         y, geo, parts, terms = self._terms(raw, anchor_th, anchor_ph,
-                                           anchor_rr, with_grad)
+                                           with_grad)
         w = self.weights
         total = w.lambda_s * parts["J_s"] + w.lambda_c * parts["J_c"] \
             + w.lambda_g * parts["J_g"]
@@ -386,7 +383,7 @@ class CostEngine:
         g_s, g_c, g_g = terms
         grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
         grad_dP[:, :, 0] += w.lambda_g * g_g
-        return total, parts, _backward(grad_dP, y, geo, anchor_rr, self.cfg,
+        return total, parts, _backward(grad_dP, y, geo, self.cfg,
                                        self._vel_scale, self._acc_scale,
                                        self.rotation)
 
@@ -395,22 +392,21 @@ class CostEngine:
 
         Returns (parts, (g_s, g_c, g_goal)): parts as in evaluate; g_s and
         g_c of shape (N, 3, 3) are the gradients of J_s and J_c w.r.t. the
-        end state d_P (g_c is zero without a field), and g_goal (N, 3) that
-        of J_g w.r.t. the end position. One field query serves all terms;
-        the decode is the helper that evaluate and decode_raw_batch use.
+        end state d_P, and g_goal (N, 3) that of J_g w.r.t. the end
+        position. One field query serves all terms; the decode is the
+        helper that evaluate and decode_raw_batch use.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
-        _, _, parts, terms = self._terms(raw, self.thetas, self.phis,
-                                         self.radii, True)
+        _, _, parts, terms = self._terms(raw, self.thetas, self.phis, True)
         return parts, terms
 
-    def _terms(self, raw, anchor_th, anchor_ph, anchor_rr, with_grad):
+    def _terms(self, raw, anchor_th, anchor_ph, with_grad):
         """Decode and score raw rows: (tanh(raw), decode geometry, parts,
         unweighted end-state gradients (g_s, g_c, g_goal) or None)."""
         n = len(raw)
         d = np.empty((n, 3, 6))
         d[:, :, :3] = self.d_F
-        y, geo, _ = _forward(raw, anchor_th, anchor_ph, anchor_rr, self.cfg,
+        y, geo, _ = _forward(raw, anchor_th, anchor_ph, self.cfg,
                              self._vel_scale, self._acc_scale, self.rotation,
                              self.position, d[:, :, 3:])
         # squared-jerk quadratic form
@@ -418,26 +414,20 @@ class CostEngine:
         J_s = np.einsum("nai,nai->n", dB, d)
         # obstacle potential along the sampled path
         pot = self.potential
-        if self.grid is not None:
-            coeffs = d @ self._Mt  # (n, 3, 6)
-            pos = np.ascontiguousarray(
-                (coeffs @ self._powers.T).swapaxes(1, 2))  # (n, K, 3)
-            dist, grad_d = self.grid.query(pos, with_grad=with_grad)
-            near = dist < pot.cutoff
-            c = np.zeros_like(dist)
-            c[near] = np.exp((pot.d_safe - dist[near]) / pot.falloff)
-            J_c = c.sum(axis=1) * pot.dt
-        else:
-            J_c = np.zeros(n)
+        coeffs = d @ self._Mt  # (n, 3, 6)
+        pos = np.ascontiguousarray(
+            (coeffs @ self._powers.T).swapaxes(1, 2))  # (n, K, 3)
+        dist, grad_d = self.grid.query(pos, with_grad=with_grad)
+        near = dist < pot.cutoff
+        c = np.zeros_like(dist)
+        c[near] = np.exp((pot.d_safe - dist[near]) / pot.falloff)
+        J_c = c.sum(axis=1) * self._dt
         diff = d[:, :, 3] - self.goal_p
         J_g = np.einsum("na,na->n", diff, diff)
         parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
         if not with_grad:
             return y, geo, parts, None
         g_s = 2.0 * dB[:, :, 3:]
-        if self.grid is not None:
-            dcdx = (-pot.dt / pot.falloff) * c[..., None] * grad_d  # (n, K, 3)
-            g_c = dcdx.swapaxes(1, 2) @ self._P
-        else:
-            g_c = np.zeros_like(g_s)
+        dcdx = (-self._dt / pot.falloff) * c[..., None] * grad_d  # (n, K, 3)
+        g_c = dcdx.swapaxes(1, 2) @ self._P
         return y, geo, parts, (g_s, g_c, 2.0 * diff)

@@ -239,9 +239,12 @@ class EsdfGrid:
         return val.reshape(shape), grad.reshape(p.shape)
 
 
-def build_esdf(cloud: PointCloud, origin, dims, resolution: float,
-               d_trunc: float = 4.0) -> EsdfGrid:
-    """Exact truncated distance field over a voxel grid.
+_D_TRUNC = 4.0  # field truncation distance, meters
+
+
+def build_esdf(cloud: PointCloud, origin, dims,
+               resolution: float) -> EsdfGrid:
+    """Exact distance field over a voxel grid, truncated at 4 m.
 
     Per-voxel nearest-point distances are computed with a KD-tree, which
     matches the brute-force definition exactly while staying fast; an empty
@@ -254,7 +257,7 @@ def build_esdf(cloud: PointCloud, origin, dims, resolution: float,
         raise ValueError("resolution must be positive")
     origin = np.asarray(origin, float)
     if len(cloud) == 0:
-        return EsdfGrid(origin, resolution, np.full(dims, d_trunc), d_trunc)
+        return EsdfGrid(origin, resolution, np.full(dims, _D_TRUNC), _D_TRUNC)
     # voxel centres origin + (i + 0.5) * resolution, written axis by axis
     # into one array so that no index-grid temporaries are allocated
     centers = np.empty((*dims, 3))
@@ -266,9 +269,9 @@ def build_esdf(cloud: PointCloud, origin, dims, resolution: float,
     # an unbalanced, non-compacted tree builds faster and answers the same
     tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
     dist, _ = tree.query(centers.reshape(-1, 3), workers=-1,
-                         distance_upper_bound=d_trunc)
-    np.minimum(dist, d_trunc, out=dist)
-    return EsdfGrid(origin, resolution, dist.reshape(dims), d_trunc)
+                         distance_upper_bound=_D_TRUNC)
+    np.minimum(dist, _D_TRUNC, out=dist)
+    return EsdfGrid(origin, resolution, dist.reshape(dims), _D_TRUNC)
 
 
 def raycast(grid: EsdfGrid, p0, p1, occupancy_threshold: float) -> bool:

@@ -85,14 +85,14 @@ def refine(engine: CostEngine, steps: int = 8, max_backtracks: int = 4,
            raw0: np.ndarray | None = None):
     """Per-anchor L-BFGS on the raw trajectory variables.
 
-    The engine must have anchors set. Every candidate keeps its own curvature
-    memory (Nocedal & Wright, Numerical Optimization, ch. 7); the iterations
-    are batched across candidates. Each iteration scores the first
-    max_backtracks of the trial steps (1, 0.3, 0.1, 0.01) along the search
-    direction in one gradient-free evaluation, takes the first trial that
-    passes the Armijo test, and evaluates the gradient at the accepted rows
-    only. A candidate with no curvature pair steps along its gradient scaled
-    by min(0.1, 0.05 / |g|). A failed search clears the memory, so the
+    Every candidate keeps its own curvature memory (Nocedal & Wright,
+    Numerical Optimization, ch. 7); the iterations are batched across
+    candidates. Each iteration scores the first max_backtracks of the trial
+    steps (1, 0.3, 0.1, 0.01) along the search direction in one
+    gradient-free evaluation, takes the first trial that passes the Armijo
+    test, and evaluates the gradient at the accepted rows only. A candidate
+    with no curvature pair steps along its gradient scaled by
+    min(0.1, 0.05 / |g|). A failed search clears the memory, so the
     next iteration retries from the scaled gradient; a failed search from
     the scaled gradient drops the candidate. Candidates whose gradient norm
     falls below 1e-5 or whose per-step improvement falls below 1e-7 drop
@@ -196,38 +196,32 @@ class FrustumFeatures:
     values: np.ndarray
 
 
-def compute_features(grid: EsdfGrid | None, cam: CameraModel,
-                     cfg: LatticeConfig, velocity_n, acceleration_n,
+def compute_features(grid: EsdfGrid, cam: CameraModel, cfg: LatticeConfig,
+                     velocity_n, acceleration_n,
                      target_world=None) -> FrustumFeatures:
     """Privileged depth features plus state inputs for every grid cell.
 
     A small bundle of rays is marched through the distance field per cell
     frustum; min and mean hit distances summarize free space ahead.
     """
-    anchors = build_library(cfg)
+    thetas, phis = build_library(cfg)
     v_n = np.asarray(velocity_n, float)
     a_n = np.asarray(acceleration_n, float)
     pitch_p = cfg.fov_h / cfg.m_phi
     pitch_t = cfg.fov_v / cfg.m_theta
     offs = (np.arange(_RAYS) - (_RAYS - 1) / 2) / _RAYS
     # ray bundle per anchor, ordered (anchor, polar offset, azimuth offset)
-    th = np.array([a.theta for a in anchors])[:, None, None] \
-        + (offs * pitch_t)[None, :, None]
-    ph = np.array([a.phi for a in anchors])[:, None, None] \
-        + (offs * pitch_p)[None, None, :]
+    th = thetas[:, None, None] + (offs * pitch_t)[None, :, None]
+    ph = phis[:, None, None] + (offs * pitch_p)[None, None, :]
     dirs = spherical_endpoint(th, ph, 1.0).reshape(-1, 3)
     dirs_world = dirs @ cam.rotation.T  # (n_cells*B, 3)
     n_bundle = _RAYS ** 2
-    step = (grid.resolution / 2) if grid is not None else 0.1
-    n_s = max(2, int(np.ceil(cfg.r / step)) + 1)
+    n_s = max(2, int(np.ceil(cfg.r / (grid.resolution / 2))) + 1)
     s = np.linspace(0.0, cfg.r, n_s)
-    if grid is not None:
-        pts = cam.position + dirs_world[:, None, :] * s[None, :, None]
-        dist, _ = grid.query(pts, with_grad=False)
-        hit = dist < _OCCUPANCY
-        first = np.where(hit.any(axis=1), s[np.argmax(hit, axis=1)], cfg.r)
-    else:
-        first = np.full(len(dirs_world), cfg.r)
+    pts = cam.position + dirs_world[:, None, :] * s[None, :, None]
+    dist, _ = grid.query(pts, with_grad=False)
+    hit = dist < _OCCUPANCY
+    first = np.where(hit.any(axis=1), s[np.argmax(hit, axis=1)], cfg.r)
     first = first.reshape(cfg.n_cells, n_bundle)
     feats = np.empty((cfg.n_cells, FEATURE_DIM))
     feats[:, 0] = first.min(axis=1) / cfg.r
@@ -240,8 +234,8 @@ def compute_features(grid: EsdfGrid | None, cam: CameraModel,
             col, row = cam.pixel_to_cell(u, v)
             i, j = cell_to_anchor(int(col), int(row), cfg)
             feats[i * cfg.m_theta + j, 2] = np.linalg.norm(p_c) / cfg.r
-    for k, a in enumerate(anchors):
-        R = _cell_rotation(a.theta, a.phi)
+    for k, (theta, phi) in enumerate(zip(thetas, phis)):
+        R = _cell_rotation(theta, phi)
         feats[k, 3:6] = v_n @ R
         feats[k, 6:9] = a_n @ R
     return FrustumFeatures(feats)
@@ -261,10 +255,9 @@ class PolicyHead:
     biases: list[np.ndarray]
 
     @classmethod
-    def create(cls, hidden=(64, 64), in_dim: int = FEATURE_DIM,
-               out_dim: int = OUTPUT_DIM, seed: int = 0) -> "PolicyHead":
+    def create(cls, hidden=(64, 64), seed: int = 0) -> "PolicyHead":
         rng = np.random.default_rng(seed)
-        sizes = [in_dim, *hidden, out_dim]
+        sizes = [FEATURE_DIM, *hidden, OUTPUT_DIM]
         ws, bs = [], []
         for a, b in zip(sizes[:-1], sizes[1:]):
             ws.append(rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)))
@@ -377,30 +370,30 @@ def load_head(path) -> PolicyHead:
 
 @dataclass(frozen=True)
 class SampleAssignment:
-    """Per-cell labels in anchor flat order plus the positive index, if any."""
+    """Per-cell labels in anchor flat order: at most one is "positive"."""
 
     labels: tuple[str, ...]
-    positive: int | None
+
+
+_LABEL_OCCUPANCY = 0.1  # the target is occluded where the field falls below
 
 
 def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
-                   grid: EsdfGrid | None = None,
-                   occupancy_threshold: float = 0.1,
-                   max_depth: float | None = None) -> SampleAssignment:
+                   grid: EsdfGrid) -> SampleAssignment:
     """Positive / negative / ignored labels per grid cell.
 
-    No target, target outside the frustum, or target occluded on the
-    privileged map: every cell is negative. Otherwise the containing cell is
-    positive, its Chebyshev-1 ring is ignored, and the rest are negative.
+    No target, target outside the frustum (at any depth), or target occluded
+    on the privileged map: every cell is negative. Otherwise the containing
+    cell is positive, its Chebyshev-1 ring is ignored, and the rest are
+    negative.
     """
-    all_negative = SampleAssignment(("negative",) * cfg.n_cells, None)
+    all_negative = SampleAssignment(("negative",) * cfg.n_cells)
     if target_world is None:
         return all_negative
     p_c = cam.world_to_camera(target_world)
-    if not cam.in_frustum(p_c, max_depth=max_depth):
+    if not cam.in_frustum(p_c):
         return all_negative
-    if grid is not None and not raycast(grid, cam.position, target_world,
-                                        occupancy_threshold):
+    if not raycast(grid, cam.position, target_world, _LABEL_OCCUPANCY):
         return all_negative
     u, v, _ = cam.project_camera(p_c)
     col, row = cam.pixel_to_cell(u, v)
@@ -411,7 +404,7 @@ def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
             cheb = max(abs(i - i0), abs(j - j0))
             labels.append("positive" if cheb == 0 else
                           "ignored" if cheb == 1 else "negative")
-    return SampleAssignment(tuple(labels), i0 * cfg.m_theta + j0)
+    return SampleAssignment(tuple(labels))
 
 
 # -- training-state sampling ----------------------------------------------------
@@ -420,13 +413,13 @@ def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
 class StateSampler:
     """Random state observations for training-time data augmentation.
 
-    Forward velocity v is distributed so that (v_m - v) is log-normal; the
-    lateral/vertical velocity and the acceleration are normal. All numeric
-    defaults are toy-scale choices, not published values.
+    Forward velocity v is distributed so that (v_m - v) is log-normal with
+    log-mean mu = log(0.4 v_m); the lateral/vertical velocity and the
+    acceleration are normal. All numeric defaults are toy-scale choices,
+    not published values.
     """
 
     sigma: float = 0.6
-    mu: float | None = None
     v_m: float = 8.8
     lateral_std: float = 2.4
     vertical_std: float = 2.4
@@ -435,8 +428,10 @@ class StateSampler:
     def __post_init__(self):
         if not self.v_m > 0:
             raise ValueError("v_m must be positive")
-        if self.mu is None:
-            object.__setattr__(self, "mu", float(np.log(0.4 * self.v_m)))
+
+    @property
+    def mu(self) -> float:
+        return float(np.log(0.4 * self.v_m))
 
 
 def sample_training_state(sampler: StateSampler, rng: np.random.Generator,
@@ -496,8 +491,7 @@ def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
         goal_coef = coef
     grad_dP[:, :, 0] += (w.lambda_g * goal_coef)[:, None] * g_goal
     dLdy = np.zeros((n, OUTPUT_DIM))
-    dLdy[:, :9] = chain_rule_batch(grad_dP, raw, engine.thetas, engine.phis,
-                                   engine.radii, cfg, engine.alpha,
+    dLdy[:, :9] = chain_rule_batch(grad_dP, raw, cfg, engine.alpha,
                                    engine.v_max, engine.a_max, engine.rotation)
     dLdy[:, 9] = traj_w * smooth_l1_grad(resid)
 
@@ -548,7 +542,7 @@ def backward_and_step(head: PolicyHead, frames: list[dict],
     """One optimizer step over a batch of frames; returns the mean loss.
 
     Each frame dict carries: features (FrustumFeatures or array), engine
-    (CostEngine with anchors set), cfg, cam, assignment, target_world, mode.
+    (CostEngine), cfg, cam, assignment, target_world, mode.
     """
     acc_w = [np.zeros_like(w) for w in head.weights]
     acc_b = [np.zeros_like(b) for b in head.biases]

@@ -9,12 +9,12 @@ carry denormalized end derivatives; `costs.decode_raw_batch` decodes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "LatticeConfig",
-    "PrimitiveAnchor",
     "build_library",
     "horizon",
     "spherical_endpoint",
@@ -75,26 +75,16 @@ class LatticeConfig:
         return -self.fov_v / 2 + (np.arange(self.m_theta) + 0.5) * pitch
 
 
-@dataclass(frozen=True)
-class PrimitiveAnchor:
-    """One lattice anchor: grid index, angles, radius, camera-frame endpoint."""
-
-    grid_index: tuple[int, int]  # (i over azimuth, j over polar), zero-based
-    theta: float
-    phi: float
-    r: float
-    endpoint: np.ndarray
-
-
-def build_library(cfg: LatticeConfig) -> list[PrimitiveAnchor]:
-    """All M_phi * M_theta anchors at grid-cell-center angles."""
-    anchors = []
-    for i, phi in enumerate(cfg.azimuths()):
-        for j, theta in enumerate(cfg.polars()):
-            anchors.append(PrimitiveAnchor(
-                (i, j), float(theta), float(phi), cfg.r,
-                spherical_endpoint(theta, phi, cfg.r)))
-    return anchors
+@lru_cache(maxsize=16)
+def build_library(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (thetas, phis) of all M_phi * M_theta anchors at grid-cell
+    centers, in flat order k = i * M_theta + j (i over azimuth, j over polar).
+    Every anchor lies on the sphere of radius cfg.r."""
+    thetas = np.tile(cfg.polars(), cfg.m_phi)
+    phis = np.repeat(cfg.azimuths(), cfg.m_theta)
+    thetas.setflags(write=False)
+    phis.setflags(write=False)
+    return thetas, phis
 
 
 def horizon(cfg: LatticeConfig, alpha: float, v_max: float) -> float:

@@ -27,7 +27,7 @@ from .costs import CostEngine, CostWeights
 from .environment import EsdfGrid, ForestSpec, PointCloud, build_esdf, \
     generate_forest, raycast, trunk_positions
 from .policy import PolicyHead, compute_features, refine
-from .primitives import LatticeConfig, build_library, horizon
+from .primitives import LatticeConfig
 from .tracker import TargetEstimate, gated_update, plan_yaw, predict
 from .trajectory import Trajectory
 
@@ -149,21 +149,20 @@ class DetectionSim:
     depth_std: float = 0.02  # multiplicative
     false_negative: float = 0.05
     max_depth: float = 20.0
-    occupancy_threshold: float = 0.2  # ray blocked below this clearance
 
 
-def _visible(target_world, cam: CameraModel, grid: EsdfGrid | None,
+_SIGHT_OCCUPANCY = 0.2  # a line of sight is blocked below this clearance
+
+
+def _visible(target_world, cam: CameraModel, grid: EsdfGrid,
              det: DetectionSim) -> bool:
     p_c = cam.world_to_camera(target_world)
     if not cam.in_frustum(p_c, max_depth=det.max_depth):
         return False
-    if grid is not None:
-        return raycast(grid, cam.position, target_world,
-                       det.occupancy_threshold)
-    return True
+    return raycast(grid, cam.position, target_world, _SIGHT_OCCUPANCY)
 
 
-def simulate_detection(target_world, cam: CameraModel, grid: EsdfGrid | None,
+def simulate_detection(target_world, cam: CameraModel, grid: EsdfGrid,
                        det: DetectionSim,
                        rng: np.random.Generator | None = None,
                        visible: bool | None = None):
@@ -192,6 +191,8 @@ def simulate_detection(target_world, cam: CameraModel, grid: EsdfGrid | None,
 # -- scripted evader ----------------------------------------------------------
 
 _EVADER_CELL = 0.5  # planning grid pitch, meters
+_EVADER_CLEARANCE = 0.6  # planning cells this close to a trunk are blocked
+_EVADER_ACCEL = 1.0  # speed ramp from rest, m/s^2
 _SWITCH_FRACTION = 0.5  # share of the course run before a goal switch
 
 
@@ -201,20 +202,16 @@ class EvaderScript:
     Paths come from A* over an inflated 2D occupancy grid of the true trunk
     layout, shortcut along lines of sight. Partway through the course the
     goal is re-randomized to force an evasive turn. The speed ramps up from
-    rest at the given acceleration, then stays constant.
+    rest at 1 m/s^2, then stays constant.
     """
 
     def __init__(self, trunks, bounds, speed: float, height: float = 1.5,
-                 clearance: float = 0.6, switches: int = 1,
-                 accel: float = 1.0,
-                 rng: np.random.Generator | None = None):
+                 switches: int = 1, rng: np.random.Generator | None = None):
         self.trunks = np.asarray(trunks, float).reshape(-1, 2)
         self.bounds = tuple(float(b) for b in bounds)  # xmin, xmax, ymin, ymax
         self.speed = float(speed)
-        self.accel = float(accel)
         self._speed = 0.0
         self.height = float(height)
-        self.clearance = float(clearance)
         self.switches_left = int(switches)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         xmin, xmax, ymin, ymax = self.bounds
@@ -226,7 +223,7 @@ class EvaderScript:
             centers = np.stack([gx, gy], axis=-1)
             d = np.linalg.norm(centers[:, :, None, :]
                                - self.trunks[None, None, :, :], axis=-1)
-            occ = d.min(axis=2) < self.clearance
+            occ = d.min(axis=2) < _EVADER_CLEARANCE
         self._occ = occ
         self.position = None
         self.path = None
@@ -354,10 +351,7 @@ class EvaderScript:
                 and self._traveled >= _SWITCH_FRACTION * self._path_len:
             self.switches_left -= 1
             self.set_course(self.position[:2], self._random_goal())
-        if self.accel > 0:
-            self._speed = min(self.speed, self._speed + self.accel * dt)
-        else:
-            self._speed = self.speed
+        self._speed = min(self.speed, self._speed + _EVADER_ACCEL * dt)
         remaining = self._speed * dt
         pos = self.position[:2].copy()
         while remaining > 0 and self._seg < len(self.path) - 1:
@@ -573,13 +567,7 @@ class _Planner:
         if backend == "head" and head is None:
             raise ValueError("head backend requires a PolicyHead")
         self.arena, self.p, self.backend, self.head = arena, p, backend, head
-        cfg = p.lattice
-        anchors = build_library(cfg)
-        self.thetas = np.array([a.theta for a in anchors])
-        self.phis = np.array([a.phi for a in anchors])
-        self.radii = np.array([a.r for a in anchors])
-        self.T = horizon(cfg, p.alpha, p.v_max)
-        self.cam0 = CameraModel.for_lattice(cfg)
+        self.cam0 = CameraModel.for_lattice(p.lattice)
         self.emergency = False
         self._warm = None  # previous cycle's raw solution
 
@@ -596,11 +584,11 @@ class _Planner:
         R_cam = Rotation.from_euler("z", state.yaw).as_matrix()
         acc = np.clip(state.acceleration, -p.a_max, p.a_max)
         d_F = np.column_stack([state.position, state.velocity, acc])
-        engine = CostEngine(self.arena.grid, d_F, self.T, p.lattice, p.alpha,
-                            p.v_max, p.a_max, np.asarray(goal_p, float),
-                            mode=mode, weights=p.weights, rotation=R_cam,
+        engine = CostEngine(self.arena.grid, d_F, p.lattice, p.alpha, p.v_max,
+                            p.a_max, np.asarray(goal_p, float), mode=mode,
+                            weights=p.weights, rotation=R_cam,
                             position=state.position)
-        engine.set_anchors(self.thetas, self.phis, self.radii)
+        T = engine.horizon_T
         if self.backend == "refiner":
             raw, total, _ = refine(engine, steps=p.refine_steps,
                                    raw0=self._warm)
@@ -622,9 +610,9 @@ class _Planner:
             chosen = int(np.argmin(np.where(finite, scores, np.inf)))
             cost = float(total[chosen])
             d_P = engine.decode(raw)[chosen]
-            traj = Trajectory.from_boundary(d_F, d_P, self.T)
+            traj = Trajectory.from_boundary(d_F, d_P, T)
             # executed-clearance check over the first half horizon
-            ts = np.linspace(0.0, self.T / 2, 11)
+            ts = np.linspace(0.0, T / 2, 11)
             dist, _ = self.arena.grid.query(traj.sample_many(ts),
                                             with_grad=False)
             self.emergency = bool(
@@ -633,7 +621,7 @@ class _Planner:
             cost, self.emergency = float("nan"), True
         if self.emergency:
             traj = Trajectory.from_boundary(d_F, _braking_endpoint(state, p),
-                                            self.T)
+                                            T)
         return traj, cost, (perf_counter() - t0) * 1e3
 
 

@@ -105,10 +105,14 @@ def gated_update(est: TargetEstimate, detections):
     return replace(est, x=x, P=P), best
 
 
+_OMEGA_MAX = 2.5  # yaw rate limit, rad/s
+
+
 def plan_yaw(target_position, quad_position, current_yaw: float,
-             dt: float, omega_max: float = 2.5,
-             lost: bool = False, last_bearing: float | None = None) -> float:
-    """Rate-limited yaw toward the estimated target (or the lost bearing)."""
+             dt: float, lost: bool = False,
+             last_bearing: float | None = None) -> float:
+    """Yaw toward the estimated target (or the lost bearing), rate-limited
+    to 2.5 rad/s."""
     if lost and last_bearing is not None:
         desired = last_bearing
     else:
@@ -117,5 +121,5 @@ def plan_yaw(target_position, quad_position, current_yaw: float,
             return current_yaw
         desired = float(np.arctan2(delta[1], delta[0]))
     err = (desired - current_yaw + np.pi) % (2 * np.pi) - np.pi
-    step = np.clip(err, -omega_max * dt, omega_max * dt)
+    step = np.clip(err, -_OMEGA_MAX * dt, _OMEGA_MAX * dt)
     return float(current_yaw + step)

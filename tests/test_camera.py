@@ -1,10 +1,12 @@
 """Pinhole projections, frustum checks, and grid-cell index mirroring."""
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from primtrack.camera import CameraModel, anchor_to_cell, cell_to_anchor
-from primtrack.primitives import LatticeConfig, build_library
+from primtrack.primitives import LatticeConfig, build_library, \
+    spherical_endpoint
 
 
 def _random_pose(rng):
@@ -77,13 +79,27 @@ def test_anchor_cell_mirroring_round_trip():
     assert len(seen) == cfg.n_cells
 
 
-def test_anchor_endpoints_project_into_their_cells():
-    cfg = LatticeConfig()
+# Grid counts 1..7; horizontal fields of view up to 80 degrees, vertical
+# up to 90. Anchors are equiangular and image cells equal in pixels: a point
+# at azimuth phi lands 1/cos(phi) farther from the image's horizontal
+# midline than its polar angle alone gives, so from about 88 degrees wide
+# with 7 rows an outer anchor projects into the neighbouring row.
+@settings(max_examples=100, deadline=None)
+@given(m_phi=st.integers(1, 7), m_theta=st.integers(1, 7),
+       fov_h=st.floats(20.0, 80.0), fov_v=st.floats(15.0, 90.0))
+@example(m_phi=5, m_theta=3, fov_h=90.0,
+         fov_v=np.rad2deg(LatticeConfig().fov_v))  # the default lattice
+def test_anchor_endpoints_project_into_their_cells(m_phi, m_theta, fov_h,
+                                                   fov_v):
+    cfg = LatticeConfig(m_phi=m_phi, m_theta=m_theta,
+                        fov_h=np.deg2rad(fov_h), fov_v=np.deg2rad(fov_v))
     cam = CameraModel.for_lattice(cfg)
-    for a in build_library(cfg):
-        u, v, _ = cam.project_camera(a.endpoint)
-        col, row = cam.pixel_to_cell(u, v)
-        assert (int(col), int(row)) == anchor_to_cell(*a.grid_index, cfg)
+    thetas, phis = build_library(cfg)
+    u, v, _ = cam.project_camera(spherical_endpoint(thetas, phis, cfg.r))
+    col, row = cam.pixel_to_cell(u, v)
+    for k in range(cfg.n_cells):
+        i, j = divmod(k, cfg.m_theta)
+        assert (int(col[k]), int(row[k])) == anchor_to_cell(i, j, cfg)
 
 
 def test_pixel_to_cell_clipping():

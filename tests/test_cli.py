@@ -22,6 +22,47 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_misspelt_train_mode_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[train]\nmode = tracknig\n")
+    assert main(["make-dataset", "--config", str(bad),
+                 "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "[train] mode" in err and "tracknig" in err
+    assert not (tmp_path / "data").exists()
+
+
+# [cost] keys that only training reads: flights take lambda_c from
+# [simulator] collision_weight and use the default potential
+_TRAIN_ONLY = ("lambda_c", "lambda_1", "lambda_2", "d_safe", "falloff",
+               "cutoff")
+
+
+def _nav_log(tmp_path, name, cost_line=""):
+    """Bytes of the 1 s run-nav flight through forest 1000 under a config
+    that sets cost_line in [cost]."""
+    ini = tmp_path / f"{name}.ini"
+    ini.write_text("[run]\nseeds = 0\n[simulator]\nmax_time = 0.5\n"
+                   f"[cost]\n{cost_line}\n")
+    out = tmp_path / name
+    assert main(["run-nav", "--config", str(ini), "--out", str(out)]) == 0
+    return (out / "episode_0000.csv").read_bytes()
+
+
+def test_training_only_cost_keys_leave_flights_unchanged(tmp_path, capsys):
+    from primtrack.config import _SCHEMA
+    base = _nav_log(tmp_path, "base")
+    assert len(base.splitlines()) == 1 + 200  # header and 1 s of 5 ms steps
+    for key in _TRAIN_ONLY:
+        assert "training only" in _SCHEMA["cost"][key][1], key
+        value = 0.5 * _SCHEMA["cost"][key][0]
+        assert _nav_log(tmp_path, key, f"{key} = {value}") == base, key
+    # a key that flights do read changes the log
+    assert _nav_log(tmp_path, "lambda_s", "lambda_s = 0.05") != base
+    assert all("training only" not in help for key, (_, help)
+               in _SCHEMA["cost"].items() if key not in _TRAIN_ONLY)
+
+
 def test_generate_env_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate-env", "--seed", "3", "--out", str(a)]) == 0

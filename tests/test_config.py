@@ -39,6 +39,17 @@ def test_unknown_section_and_key_rejected():
         RunConfig({"lattice": {"bogus_key": 1}})
 
 
+def test_train_mode_is_checked():
+    for mode in ("navigation", "tracking"):
+        assert RunConfig.loads(f"[train]\nmode = {mode}\n")["train"]["mode"] \
+            == mode
+    with pytest.raises(ValueError, match=r"\[train\] mode.*'tracknig'"):
+        RunConfig.loads("[train]\nmode = tracknig\n")
+    with pytest.raises(ValueError, match=r"\[train\] mode"):
+        RunConfig({"train": {"mode": "Tracking"}})
+    assert "navigation | tracking" in _SCHEMA["train"]["mode"][1]
+
+
 def test_overrides_merge_with_defaults():
     cfg = RunConfig.loads("[simulator]\nv_max = 4.0\n")
     assert cfg["simulator"]["v_max"] == 4.0
@@ -128,15 +139,15 @@ def test_builders_match_dataclass_defaults():
     assert cfg.sampler() == StateSampler()
     assert cfg.cost_weights() == CostWeights()
     assert cfg.lattice_config() == LatticeConfig()
-    assert cfg.potential_params(1.25) == PotentialParams(dt=1.25 / 20.0)
+    assert cfg.potential_params() == PotentialParams()
 
 
 def test_cost_and_sampler_builders():
     cfg = RunConfig()
     w = cfg.cost_weights()
     assert (w.lambda_s, w.lambda_c, w.lambda_g) == (0.1, 1.0, 1.0)
-    pot = cfg.potential_params(1.25)
-    assert np.isclose(pot.dt, 1.25 / 20.0)
+    pot = cfg.potential_params()
+    assert (pot.d_safe, pot.falloff, pot.cutoff) == (0.4, 0.4, 2.0)
     s = cfg.sampler()
     assert s.v_m == 8.8
     assert cfg.hidden_sizes() == (64, 64)
@@ -154,7 +165,7 @@ _READ_BY_CLI = {
 def _built(cfg: RunConfig, arena: bool):
     """Everything the builders make from cfg, as comparable text."""
     out = [cfg.lattice_config(), cfg.cost_weights(),
-           cfg.potential_params(1.25), cfg.sim_params(), cfg.sampler()]
+           cfg.potential_params(), cfg.sim_params(), cfg.sampler()]
     text = repr(out)
     if arena:
         a = cfg.forest_arena(0)

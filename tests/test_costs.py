@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primtrack import kernels
 from primtrack.costs import (CostEngine, CostWeights, PotentialParams,
                              chain_rule_batch, collision, decode_raw_batch,
                              goal, jerk_gram_matrix, smooth_l1,
                              smooth_l1_grad, smoothness)
-from primtrack.environment import PointCloud, build_esdf
-from primtrack.primitives import (LatticeConfig, build_library,
+from primtrack.environment import EsdfGrid, PointCloud, build_esdf
+from primtrack.primitives import (LatticeConfig, build_library, horizon,
                                   spherical_endpoint)
+from primtrack.simulator import empty_arena
 from primtrack.trajectory import Trajectory
+
+_FREE_SPACE = empty_arena().grid  # obstacle-free: saturated at truncation
 
 
 def _gauss_integral(f, a, b, n=8):
@@ -24,13 +28,9 @@ def _engine(grid, rng, mode="tracking", use_kernel=True):
     cfg = LatticeConfig()
     d_F = np.column_stack([rng.uniform([0, -2, 0.5], [2, 2, 2]),
                            rng.normal(size=3), rng.normal(size=3)])
-    eng = CostEngine(grid, d_F, 1.25, cfg, 1.0, 8.0, 6.0,
-                     goal_p=d_F[:, 0] + np.array([6.0, 0.5, 0.2]),
-                     mode=mode, position=d_F[:, 0], use_kernel=use_kernel)
-    anchors = build_library(cfg)
-    eng.set_anchors([a.theta for a in anchors], [a.phi for a in anchors],
-                    [a.r for a in anchors])
-    return eng
+    return CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0,
+                      goal_p=d_F[:, 0] + np.array([6.0, 0.5, 0.2]),
+                      mode=mode, position=d_F[:, 0], use_kernel=use_kernel)
 
 
 def _grid(rng):
@@ -91,7 +91,8 @@ def test_smoothness_batched_matches_loop():
 def test_collision_matches_brute_force_sum():
     rng = np.random.default_rng(2)
     grid = _grid(rng)
-    pot = PotentialParams(dt=1.25 / 20.0)
+    pot = PotentialParams()
+    dt = 1.25 / 20  # 21 samples over the horizon, endpoints included
     for _ in range(10):
         d_F = np.column_stack([rng.uniform([0, -2, 0], [2, 2, 2]),
                                rng.normal(size=3), rng.normal(size=3)])
@@ -101,18 +102,10 @@ def test_collision_matches_brute_force_sum():
         traj = Trajectory.from_boundary(d_F, d_P, 1.25)
         ref = 0.0
         for k in range(21):
-            d, _ = grid.query(traj.sample(k * pot.dt))
+            d, _ = grid.query(traj.sample(k * dt))
             if d < pot.cutoff:
-                ref += np.exp((pot.d_safe - d) / pot.falloff) * pot.dt
+                ref += np.exp((pot.d_safe - d) / pot.falloff) * dt
         assert np.isclose(J, ref, rtol=1e-9)
-
-
-def test_collision_requires_divisible_dt():
-    rng = np.random.default_rng(3)
-    grid = _grid(rng)
-    with pytest.raises(ValueError):
-        collision(np.zeros((3, 3)), np.eye(3), 1.25, grid,
-                  PotentialParams(dt=0.3))
 
 
 def test_potential_value_and_slope():
@@ -156,20 +149,20 @@ def _spherical_jacobian(theta, phi, r):
     return J
 
 
-def _oracle_chain_rule(grad_dP, raw, thetas, phis, radii, cfg, alpha, v_max,
-                       a_max, R):
+def _oracle_chain_rule(grad_dP, raw, thetas, phis, cfg, alpha, v_max, a_max,
+                       R):
     """Raw-variable gradient through the spherical Jacobian, the camera
     rotation and the tanh bounds, one factor at a time."""
     th = thetas + np.tanh(raw[:, 0]) * cfg.d_theta
     ph = phis + np.tanh(raw[:, 1]) * cfg.d_phi
-    rr = radii * (1.0 + np.tanh(raw[:, 2]))
+    rr = cfg.r * (1.0 + np.tanh(raw[:, 2]))
     g_sph = np.einsum("na,nae->ne", grad_dP[:, :, 0] @ R,
                       _spherical_jacobian(th, ph, rr))
     sech2 = 1.0 - np.tanh(raw) ** 2
     out = np.empty((len(raw), 9))
     out[:, 0] = g_sph[:, 0] * sech2[:, 0] * cfg.d_theta
     out[:, 1] = g_sph[:, 1] * sech2[:, 1] * cfg.d_phi
-    out[:, 2] = g_sph[:, 2] * sech2[:, 2] * radii
+    out[:, 2] = g_sph[:, 2] * sech2[:, 2] * cfg.r
     out[:, 3:6] = (grad_dP[:, :, 1] @ R) * sech2[:, 3:6] * alpha * v_max
     out[:, 6:9] = (grad_dP[:, :, 2] @ R) * sech2[:, 6:9] * alpha ** 2 * a_max
     return out
@@ -195,23 +188,19 @@ def test_spherical_jacobian_matches_finite_differences():
 def test_chain_rule_batch_matches_jacobian_oracle():
     rng = np.random.default_rng(5)
     cfg = LatticeConfig()
-    anchors = build_library(cfg)
-    th = np.array([a.theta for a in anchors])
-    ph = np.array([a.phi for a in anchors])
-    rr = np.array([a.r for a in anchors])
+    th, ph = build_library(cfg)
     for alpha in (0.5, 1.0, 2.0):
         R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         raw = rng.normal(size=(15, 9))
         grad_dP = rng.normal(size=(15, 3, 3))
-        got = chain_rule_batch(grad_dP, raw, th, ph, rr, cfg, alpha, 8.0,
-                               6.0, R)
-        ref = _oracle_chain_rule(grad_dP, raw, th, ph, rr, cfg, alpha, 8.0,
-                                 6.0, R)
+        got = chain_rule_batch(grad_dP, raw, cfg, alpha, 8.0, 6.0, R)
+        ref = _oracle_chain_rule(grad_dP, raw, th, ph, cfg, alpha, 8.0, 6.0,
+                                 R)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
-def test_chain_rule_matches_finite_differences_no_grid():
+def test_chain_rule_matches_finite_differences_free_space():
     rng = np.random.default_rng(4)
-    eng = _engine(None, rng, use_kernel=False)
+    eng = _engine(_FREE_SPACE, rng, use_kernel=False)
     raw = rng.normal(size=(15, 9)) * 0.5
     total, _, ga = eng.evaluate(raw)
     h = 1e-5
@@ -230,13 +219,10 @@ def test_chain_rule_matches_finite_differences_no_grid():
 
 def test_decode_raw_batch_zero_offsets_hit_anchors():
     cfg = LatticeConfig()
-    anchors = build_library(cfg)
-    raw = np.zeros((len(anchors), 9))
-    d_P = decode_raw_batch(
-        raw, [a.theta for a in anchors], [a.phi for a in anchors],
-        [a.r for a in anchors], cfg, 1.0, 8.0, 6.0)
-    for k, a in enumerate(anchors):
-        assert np.allclose(d_P[k, :, 0], a.endpoint, atol=1e-12)
+    raw = np.zeros((cfg.n_cells, 9))
+    d_P = decode_raw_batch(raw, cfg, 1.0, 8.0, 6.0)
+    assert np.allclose(d_P[:, :, 0], spherical_endpoint(*build_library(cfg),
+                                                        cfg.r), atol=1e-12)
     assert np.allclose(d_P[:, :, 1:], 0.0)
     assert np.allclose(np.linalg.norm(d_P[:, :, 0], axis=1), cfg.r)
 
@@ -262,9 +248,8 @@ def test_engine_matches_modular_functions():
                        rtol=1e-12)
     grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
     grad_dP[:, :, 0] += w.lambda_g * g_g
-    ref = _oracle_chain_rule(grad_dP, raw, eng.thetas, eng.phis, eng.radii,
-                             eng.cfg, eng.alpha, eng.v_max, eng.a_max,
-                             eng.rotation)
+    ref = _oracle_chain_rule(grad_dP, raw, eng.thetas, eng.phis, eng.cfg,
+                             eng.alpha, eng.v_max, eng.a_max, eng.rotation)
     assert np.allclose(grad, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -301,12 +286,36 @@ def test_engine_subset_evaluation():
 
 def test_engine_navigation_rescales_goal():
     rng = np.random.default_rng(10)
-    eng = _engine(None, rng, mode="navigation")
+    eng = _engine(_FREE_SPACE, rng, mode="navigation")
     assert np.isclose(np.linalg.norm(eng.goal_p - eng.position), eng.cfg.r)
     with pytest.raises(ValueError):  # no direction to the goal
-        CostEngine(None, eng.d_F, 1.25, eng.cfg, 1.0, 8.0, 6.0,
+        CostEngine(_FREE_SPACE, eng.d_F, eng.cfg, 1.0, 8.0, 6.0,
                    goal_p=eng.position, mode="navigation",
                    position=eng.position)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.2, 3.0), v_max=st.floats(0.5, 20.0),
+       m_phi=st.integers(1, 7), m_theta=st.integers(1, 7),
+       r=st.floats(1.0, 8.0), level=st.floats(0.0, 1.9))
+def test_engine_derives_horizon_anchors_and_sample_step(alpha, v_max, m_phi,
+                                                        m_theta, r, level):
+    cfg = LatticeConfig(m_phi=m_phi, m_theta=m_theta, r=r)
+    # a uniform field below the cutoff: every sample adds the same potential
+    flat = EsdfGrid(np.full(3, -20.0), 1.0, np.full((4, 4, 4), level), 4.0)
+    d_F = np.column_stack([[0.0, 0.0, 1.5], np.zeros(3), np.zeros(3)])
+    eng = CostEngine(flat, d_F, cfg, alpha, v_max, 6.0,
+                     goal_p=[10.0, 0.0, 1.5], position=d_F[:, 0])
+    assert eng.horizon_T == horizon(cfg, alpha, v_max)
+    thetas, phis = build_library(cfg)
+    assert np.array_equal(eng.thetas, thetas)
+    assert np.array_equal(eng.phis, phis)
+    # 21 samples, T/20 apart, endpoints included
+    _, parts, _ = eng.evaluate(np.zeros((cfg.n_cells, 9)), with_grad=False)
+    pot = eng.potential
+    c = np.exp((pot.d_safe - level) / pot.falloff)
+    assert np.allclose(parts["J_c"], 21 * c * eng.horizon_T / 20,
+                       rtol=1e-12)
 
 
 # -- losses ----------------------------------------------------------------------

@@ -121,9 +121,10 @@ def test_esdf_empty_cloud_is_uniform_truncation():
 
 
 def test_esdf_truncation_cap():
+    # the grid spans 20 m, so distances from the one point reach past 4 m
     grid = build_esdf(PointCloud(np.array([[0.0, 0.0, 0.0]])),
-                      (0, 0, 0), (40, 4, 4), 0.5, d_trunc=2.0)
-    assert grid.distance.max() == 2.0
+                      (0, 0, 0), (40, 4, 4), 0.5)
+    assert grid.distance.max() == grid.d_trunc == 4.0
 
 
 def test_esdf_validation():

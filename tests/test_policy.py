@@ -14,20 +14,19 @@ from primtrack.policy import (FrustumFeatures, HeadOptimizer, PolicyHead,
                               compute_features, frame_loss_and_grad,
                               load_head, refine, sample_training_state,
                               save_head)
-from primtrack.primitives import LatticeConfig, build_library
+from primtrack.primitives import LatticeConfig
+from primtrack.simulator import empty_arena
+
+_FREE_SPACE = empty_arena().grid  # obstacle-free: saturated at truncation
 
 
 def _engine(grid, goal, use_kernel=True, mode="tracking", weights=None):
     cfg = LatticeConfig()
     d_F = np.column_stack([np.array([0.0, 0.0, 1.5]),
                            np.array([1.0, 0.0, 0.0]), np.zeros(3)])
-    eng = CostEngine(grid, d_F, 1.25, cfg, 1.0, 8.0, 6.0, np.asarray(goal),
-                     mode=mode, position=d_F[:, 0], use_kernel=use_kernel,
-                     weights=weights or CostWeights())
-    anchors = build_library(cfg)
-    eng.set_anchors([a.theta for a in anchors], [a.phi for a in anchors],
-                    [a.r for a in anchors])
-    return eng
+    return CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0, np.asarray(goal),
+                      mode=mode, position=d_F[:, 0], use_kernel=use_kernel,
+                      weights=weights or CostWeights())
 
 
 def _obstacle_grid():
@@ -41,7 +40,7 @@ def _obstacle_grid():
 def test_refine_empty_map_reaches_goal():
     # drop smoothness so the goal term alone defines the optimum
     goal = np.array([4.0, 0.5, 1.5])
-    eng = _engine(None, goal, weights=CostWeights(lambda_s=0.0))
+    eng = _engine(_FREE_SPACE, goal, weights=CostWeights(lambda_s=0.0))
     raw, total, parts = refine(eng, steps=200)
     # at least one candidate ends essentially on the goal
     assert float(np.min(parts["J_g"])) < 1e-3
@@ -88,7 +87,7 @@ def test_refine_improves_clearance_near_obstacle():
 
 
 def test_refine_warm_start_and_step_validation():
-    eng = _engine(None, np.array([4.0, 0.0, 1.5]))
+    eng = _engine(_FREE_SPACE, np.array([4.0, 0.0, 1.5]))
     raw, total, _ = refine(eng, steps=5)
     raw2, total2, _ = refine(eng, steps=5, raw0=raw)
     assert np.all(total2 <= total + 1e-9)
@@ -101,8 +100,8 @@ def test_refine_warm_start_and_step_validation():
 # -- head forward/backward ---------------------------------------------------------
 
 def test_head_forward_matches_manual_matmul():
-    head = PolicyHead.create(hidden=(5,), in_dim=3, out_dim=2, seed=1)
-    x = np.random.default_rng(2).normal(size=(4, 3))
+    head = PolicyHead.create(hidden=(5,), seed=1)
+    x = np.random.default_rng(2).normal(size=(4, 9))
     y = head.forward(x)
     ref = np.maximum(x @ head.weights[0] + head.biases[0], 0.0) \
         @ head.weights[1] + head.biases[1]
@@ -121,10 +120,10 @@ def test_head_weight_sharing_across_rows():
 
 
 def test_head_backward_matches_finite_differences():
-    head = PolicyHead.create(hidden=(6,), in_dim=4, out_dim=3, seed=5)
+    head = PolicyHead.create(hidden=(6,), seed=5)
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(5, 4))
-    C = rng.normal(size=(5, 3))  # loss = sum(C * y), so dL/dy = C
+    x = rng.normal(size=(5, 9))
+    C = rng.normal(size=(5, 14))  # loss = sum(C * y), so dL/dy = C
 
     def loss():
         return float(np.sum(C * head.forward(x)))
@@ -182,7 +181,7 @@ def test_optimizer_methods_descend():
 def test_compute_features_empty_map():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
-    feats = compute_features(None, cam, cfg, np.array([0.5, 0.0, 0.0]),
+    feats = compute_features(_FREE_SPACE, cam, cfg, np.array([0.5, 0.0, 0.0]),
                              np.zeros(3))
     assert feats.values.shape == (cfg.n_cells, 9)
     # free space everywhere: both depth summaries saturate at the radius
@@ -210,7 +209,7 @@ def test_compute_features_state_rows_rotate_per_cell():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
     v = np.array([0.7, -0.2, 0.1])
-    feats = compute_features(None, cam, cfg, v, np.zeros(3)).values
+    feats = compute_features(_FREE_SPACE, cam, cfg, v, np.zeros(3)).values
     # rotation preserves the norm in every cell frame
     assert np.allclose(np.linalg.norm(feats[:, 3:6], axis=1),
                        np.linalg.norm(v), atol=1e-12)
@@ -223,8 +222,8 @@ def test_assign_samples_geometry():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
     target = np.array([4.0, 0.0, 0.0])  # optical axis: the center cell
-    asg = assign_samples(target, cam, cfg)
-    assert asg.positive == 7
+    asg = assign_samples(target, cam, cfg, _FREE_SPACE)
+    assert asg.labels.count("positive") == 1
     assert asg.labels[7] == "positive"
     ring = [k for k, l in enumerate(asg.labels) if l == "ignored"]
     assert len(ring) == 8  # full Chebyshev-1 ring around the center
@@ -235,14 +234,19 @@ def test_assign_samples_no_target_or_hidden():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
     for tgt in (None, np.array([-4.0, 0.0, 0.0])):
-        asg = assign_samples(tgt, cam, cfg)
-        assert asg.positive is None
+        asg = assign_samples(tgt, cam, cfg, _FREE_SPACE)
+        assert "positive" not in asg.labels
         assert set(asg.labels) == {"negative"}
-    # occluded behind the wall on the privileged map
+    # occluded behind a solid slab on the privileged map
     cam = cam.with_pose(np.eye(3), np.array([0.0, 0.0, 1.5]))
-    asg = assign_samples(np.array([4.5, 0.0, 1.5]), cam, cfg,
-                         grid=_obstacle_grid(), occupancy_threshold=0.3)
-    assert asg.positive is None
+    slab = np.stack(np.meshgrid(np.arange(2.8, 3.21, 0.05),
+                                np.arange(-0.6, 0.61, 0.05),
+                                np.arange(0.5, 2.51, 0.05)),
+                    axis=-1).reshape(-1, 3)
+    grid = build_esdf(PointCloud(slab), (-2, -5, -0.5), (40, 40, 20), 0.25)
+    target = np.array([4.5, 0.0, 1.5])
+    assert "positive" in assign_samples(target, cam, cfg, _FREE_SPACE).labels
+    assert "positive" not in assign_samples(target, cam, cfg, grid).labels
 
 
 # -- state sampling -----------------------------------------------------------------
@@ -303,14 +307,14 @@ def test_frame_loss_grad_matches_finite_differences():
     cam = CameraModel.for_lattice(cfg).with_pose(np.eye(3),
                                                  np.array([0.0, 0.0, 1.5]))
     target = np.array([4.0, 0.3, 1.6])
-    eng = _engine(None, target, use_kernel=False)
-    asg = assign_samples(target, cam, cfg)
+    eng = _engine(_FREE_SPACE, target, use_kernel=False)
+    asg = assign_samples(target, cam, cfg, _FREE_SPACE)
     rng = np.random.default_rng(13)
     y = rng.normal(size=(15, 14)) * 0.5
     loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
                                      target_world=target, mode="tracking")
     h = 1e-6
-    for k in (asg.positive, 0, 14):
+    for k in (asg.labels.index("positive"), 0, 14):
         for d in range(14):
             yp, ym = y.copy(), y.copy()
             yp[k, d] += h
@@ -351,8 +355,7 @@ def _composable_frame_loss(y, engine, cfg, assignment, mode):
     goal_coef = coef if mode == "navigation" else goal_on.astype(float)
     grad_dP[:, :, 0] += (w.lambda_g * goal_coef)[:, None] * g_goal
     dLdy = np.zeros((len(y), 10))
-    dLdy[:, :9] = chain_rule_batch(grad_dP, raw, engine.thetas, engine.phis,
-                                   engine.radii, cfg, engine.alpha,
+    dLdy[:, :9] = chain_rule_batch(grad_dP, raw, cfg, engine.alpha,
                                    engine.v_max, engine.a_max,
                                    engine.rotation)
     dLdy[:, 9] = traj_w * smooth_l1_grad(resid)
@@ -392,7 +395,7 @@ def _tracking_frame(cfg):
                                                  np.array([0.0, 0.0, 1.5]))
     target = np.array([4.0, 0.3, 1.6])
     eng = _engine(_obstacle_grid(), target, use_kernel=False)
-    return cam, target, eng, assign_samples(target, cam, cfg)
+    return cam, target, eng, assign_samples(target, cam, cfg, _FREE_SPACE)
 
 
 def _cell(k, cfg):
@@ -434,7 +437,7 @@ def test_decode_target_pixel_inside_cell():
         assert 1 * cam.ds < v < 2 * cam.ds
     # logits and depth that decode to the target's own pixel, inside the
     # positive cell: the loss keeps only the objectness terms at p = 1/2
-    k = asg.positive
+    k = asg.labels.index("positive")
     col, row = _cell(k, cfg)
     u, v, depth = cam.project_world(target)
     frac = np.array([u / cam.ds - col, v / cam.ds - row])
@@ -458,7 +461,8 @@ def test_frame_loss_one_query_matches_composable_path(mode):
                                                  np.array([0.0, 0.0, 1.5]))
     target = np.array([4.0, 0.3, 1.6])
     eng = _engine(_obstacle_grid(), target, use_kernel=False, mode=mode)
-    asg = assign_samples(target, cam, cfg) if mode == "tracking" else None
+    asg = assign_samples(target, cam, cfg, _FREE_SPACE) \
+        if mode == "tracking" else None
     y = np.random.default_rng(16).normal(size=(15, 14)) * 0.5
     loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
                                      target_world=target, mode=mode)
@@ -482,7 +486,7 @@ def test_frame_loss_one_query_matches_composable_path(mode):
 def test_frame_loss_grad_navigation_mode():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
-    eng = _engine(None, np.array([10.0, 0.0, 1.5]), use_kernel=False,
+    eng = _engine(_FREE_SPACE, np.array([10.0, 0.0, 1.5]), use_kernel=False,
                   mode="navigation")
     rng = np.random.default_rng(14)
     y = rng.normal(size=(15, 14)) * 0.5
@@ -505,8 +509,8 @@ def test_frame_loss_grad_navigation_mode():
 def test_backward_and_step_reduces_toy_loss():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
-    eng = _engine(None, np.array([10.0, 0.0, 1.5]), mode="navigation")
-    feats = compute_features(None, cam, cfg, np.array([0.3, 0.0, 0.0]),
+    eng = _engine(_FREE_SPACE, np.array([10.0, 0.0, 1.5]), mode="navigation")
+    feats = compute_features(_FREE_SPACE, cam, cfg, np.array([0.3, 0.0, 0.0]),
                              np.zeros(3))
     frames = [{"features": FrustumFeatures(feats.values), "engine": eng,
                "cfg": cfg, "cam": cam, "assignment": None,

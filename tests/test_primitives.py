@@ -61,24 +61,31 @@ def test_lattice_validation():
         LatticeConfig(d_phi=1e-6)  # below the half-pitch: cells cannot overlap
 
 
-def test_build_library_layout():
-    cfg = LatticeConfig()
-    anchors = build_library(cfg)
-    assert len(anchors) == cfg.n_cells
-    for k, a in enumerate(anchors):
-        i, j = a.grid_index
-        assert k == i * cfg.m_theta + j  # flat order: azimuth-major
-        assert np.isclose(a.phi, cfg.azimuths()[i])
-        assert np.isclose(a.theta, cfg.polars()[j])
-        assert np.allclose(a.endpoint,
-                           spherical_endpoint(a.theta, a.phi, cfg.r))
+# random lattices: grid counts 1..7, fields of view in degrees
+LATTICES = st.builds(
+    lambda m_phi, m_theta, fov_h, fov_v: LatticeConfig(
+        m_phi=m_phi, m_theta=m_theta, fov_h=np.deg2rad(fov_h),
+        fov_v=np.deg2rad(fov_v)),
+    st.integers(1, 7), st.integers(1, 7), st.floats(20.0, 120.0),
+    st.floats(15.0, 90.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=LATTICES)
+def test_build_library_layout(cfg):
+    thetas, phis = build_library(cfg)
+    assert thetas.shape == phis.shape == (cfg.n_cells,)
+    assert not thetas.flags.writeable and not phis.flags.writeable
+    assert build_library(cfg)[0] is thetas  # built once per lattice
+    for i in range(cfg.m_phi):
+        for j in range(cfg.m_theta):
+            k = i * cfg.m_theta + j  # flat order: azimuth-major
+            assert phis[k] == cfg.azimuths()[i]
+            assert thetas[k] == cfg.polars()[j]
 
 
 def _decode(raw, cfg, alpha, v_max=8.0, a_max=6.0):
-    anchors = build_library(cfg)
-    return decode_raw_batch(raw, [a.theta for a in anchors],
-                            [a.phi for a in anchors], [a.r for a in anchors],
-                            cfg, alpha, v_max, a_max)
+    return decode_raw_batch(raw, cfg, alpha, v_max, a_max)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,9 +97,9 @@ def test_decode_offsets_bounded(raw):
     assert np.all((r > 0.0) & (r < 2.0 * cfg.r))
     th = np.arcsin(p[:, 2] / r)
     ph = np.arctan2(p[:, 1], p[:, 0])
-    for k, a in enumerate(build_library(cfg)):
-        assert abs(th[k] - a.theta) <= cfg.d_theta + 1e-9
-        assert abs(ph[k] - a.phi) <= cfg.d_phi + 1e-9
+    thetas, phis = build_library(cfg)
+    assert np.all(np.abs(th - thetas) <= cfg.d_theta + 1e-9)
+    assert np.all(np.abs(ph - phis) <= cfg.d_phi + 1e-9)
 
 
 @settings(max_examples=60, deadline=None)

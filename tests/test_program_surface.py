@@ -1,10 +1,13 @@
-"""Every function, method and class in the program has a program caller.
+"""Every function, method and class in the program has a program caller,
+and every dataclass field a program reader.
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: as a name, as an attribute, or as a string that names one (the
 benchmark looks entry points up by string). Imports and `__all__` entries
 do not count, so a name that is only exported, or only called from tests,
 fails here. Dunder methods are called by Python itself and are skipped.
+A field counts as read when src/ or perfbench/ loads an attribute of its
+name; passing it to a constructor does not count.
 """
 
 import ast
@@ -23,6 +26,14 @@ ALLOWED = {
     "boundary": "Trajectory.boundary: the acceptance gate reads it",
     "load_esdf": "the reader of save_esdf's format",
     "empty_arena": "exported from primtrack.__all__",
+}
+
+
+# Dataclass fields kept without a program reader, each for its reason.
+FIELDS_ALLOWED = {
+    "stability_flag": "ObserverState: the planned per-cycle trace reads it",
+    "rel_positions": "EpisodeMetrics: the acceptance gate reads it",
+    "target_distances": "EpisodeMetrics: the acceptance gate reads it",
 }
 
 
@@ -86,3 +97,41 @@ def test_allowlisted_names_exist():
     defined = {name for path in PROGRAM.glob("*.py")
                for name, _, _ in _definitions(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) of every annotated field of a @dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and \
+                    isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def _unread_fields():
+    trees = [ast.parse(path.read_text()) for path in sorted(
+        PROGRAM.glob("*.py")) + sorted(BENCH.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {cls}.{name}"
+            for path in sorted(PROGRAM.glob("*.py"))
+            for cls, name, line in _dataclass_fields(
+                ast.parse(path.read_text()))
+            if name not in read and name not in FIELDS_ALLOWED]
+
+
+def test_every_dataclass_field_has_a_program_reader():
+    assert not _unread_fields()
+
+
+def test_allowlisted_fields_exist():
+    fields = {name for path in PROGRAM.glob("*.py")
+              for _, name, _ in _dataclass_fields(ast.parse(path.read_text()))}
+    assert set(FIELDS_ALLOWED) <= fields

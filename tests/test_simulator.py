@@ -137,6 +137,9 @@ def test_step_validates_dt():
 
 # -- detections -----------------------------------------------------------------
 
+_FREE_SPACE = empty_arena().grid  # obstacle-free: saturated at truncation
+
+
 def _cam_at(position, yaw=0.0):
     R = Rotation.from_euler("z", yaw).as_matrix()
     return CameraModel.for_lattice(LatticeConfig()).with_pose(R, position)
@@ -145,15 +148,15 @@ def _cam_at(position, yaw=0.0):
 def test_detection_noise_free_is_exact():
     cam = _cam_at(np.array([0.0, 0.0, 1.5]))
     target = np.array([5.0, 0.5, 1.7])
-    det = simulate_detection(target, cam, None, DetectionSim())
+    det = simulate_detection(target, cam, _FREE_SPACE, DetectionSim())
     assert np.allclose(det, target, atol=1e-9)
 
 
 def test_detection_visibility_rules():
     det = DetectionSim(max_depth=20.0)
     cam = _cam_at(np.array([0.0, 0.0, 1.5]))
-    assert simulate_detection([-3.0, 0.0, 1.5], cam, None, det) is None
-    assert simulate_detection([25.0, 0.0, 1.5], cam, None, det) is None
+    assert simulate_detection([-3.0, 0.0, 1.5], cam, _FREE_SPACE, det) is None
+    assert simulate_detection([25.0, 0.0, 1.5], cam, _FREE_SPACE, det) is None
     # occlusion on the privileged map
     arena = make_forest_arena(0, intensity=1e-9, area=(10.0, 10.0))
     from primtrack.environment import PointCloud, build_esdf
@@ -168,7 +171,7 @@ def test_detection_false_negative_rate():
     target = np.array([5.0, 0.0, 1.5])
     det = DetectionSim(false_negative=0.3, pixel_std=0.0, depth_std=0.0)
     rng = np.random.default_rng(0)
-    misses = sum(simulate_detection(target, cam, None, det, rng) is None
+    misses = sum(simulate_detection(target, cam, _FREE_SPACE, det, rng) is None
                  for _ in range(2000))
     assert abs(misses / 2000 - 0.3) < 0.04
 
@@ -178,7 +181,7 @@ def test_detection_noise_statistics():
     target = np.array([8.0, 0.0, 1.5])
     det = DetectionSim(pixel_std=1.0, depth_std=0.02, false_negative=0.0)
     rng = np.random.default_rng(1)
-    pts = np.array([simulate_detection(target, cam, None, det, rng)
+    pts = np.array([simulate_detection(target, cam, _FREE_SPACE, det, rng)
                     for _ in range(500)])
     err = pts - target
     assert np.abs(np.mean(err, axis=0)).max() < 0.05
@@ -190,7 +193,7 @@ def test_detection_noise_statistics():
 
 def test_evader_ramps_and_follows_path():
     ev = EvaderScript(np.zeros((0, 2)), (0.0, 30.0, -5.0, 5.0), speed=3.0,
-                      switches=0, accel=1.0)
+                      switches=0)
     ev.set_course((0.0, 0.0), (20.0, 0.0))
     p0 = ev.position.copy()
     ev.step(0.5)
@@ -205,8 +208,7 @@ def test_evader_ramps_and_follows_path():
 def test_evader_avoids_trunks():
     arena = make_forest_arena(3, intensity=1.0 / 16.0, area=(12.0, 30.0),
                               clear_points=[(0.0, 0.0), (25.0, 0.0)])
-    ev = EvaderScript(arena.trunks, arena.bounds, speed=3.0, switches=0,
-                      clearance=0.6)
+    ev = EvaderScript(arena.trunks, arena.bounds, speed=3.0, switches=0)
     ev.set_course((0.0, 0.0), (25.0, 0.0))
     min_d = np.inf
     for _ in range(1500):
@@ -364,11 +366,11 @@ def test_selection_skips_nan_candidates(monkeypatch):
     _, cost, _ = planner.plan(state, goal, "tracking")
     assert cost == np.nanmin(seen[-1]) and not planner.emergency
     # with no finite row the cycle brakes
-    poison[:] = list(range(len(planner.thetas)))
+    poison[:] = list(range(planner.p.lattice.n_cells))
     traj, cost, _ = planner.plan(state, goal, "tracking")
     assert np.isnan(cost) and planner.emergency
     stop = simulator._braking_endpoint(state, planner.p)
-    assert np.allclose(traj.sample(planner.T), stop[:, 0])
+    assert np.allclose(traj.sample(traj.horizon_T), stop[:, 0])
 
 
 def test_planning_cycle_evaluates_at_most_20_times(monkeypatch):

@@ -63,13 +63,11 @@ def test_gated_update_covariance_stays_symmetric_psd():
 
 
 def test_plan_yaw_rate_limited_and_wrapped():
-    # pi/2 error, limited to omega_max * dt
-    y = plan_yaw([0.0, 5.0, 0.0], [0.0, 0.0, 0.0], 0.0, dt=0.1,
-                 omega_max=2.0)
-    assert np.isclose(y, 0.2)
+    # pi/2 error, limited to 2.5 rad/s * dt
+    y = plan_yaw([0.0, 5.0, 0.0], [0.0, 0.0, 0.0], 0.0, dt=0.1)
+    assert np.isclose(y, 0.25)
     # wrap: from +3.1 toward -3.1 rad the short way crosses pi
-    y2 = plan_yaw([-5.0, -0.3, 0.0], [0.0, 0.0, 0.0], 3.1, dt=0.01,
-                  omega_max=2.0)
+    y2 = plan_yaw([-5.0, -0.3, 0.0], [0.0, 0.0, 0.0], 3.1, dt=0.01)
     assert y2 > 3.1
     # lost: hold the last bearing
     y3 = plan_yaw(None, [0.0, 0.0, 0.0], 0.5, dt=1.0, lost=True,
