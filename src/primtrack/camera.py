@@ -1,7 +1,7 @@
 """Pinhole camera model, grid-cell bookkeeping, and world/pixel transforms.
 
 Camera frame convention: x forward, y left, z up. Pixels: u rightward,
-v downward. The image is divided into M_phi x M_theta cells of ds x ds
+v downward. The image is divided into M_phi x M_theta cells of DS x DS
 pixels; cell (col, row) corresponds to lattice anchor (i, j) by index
 mirroring (ascending azimuth is leftward, ascending polar is upward).
 """
@@ -16,6 +16,8 @@ from .primitives import LatticeConfig
 
 __all__ = ["CameraModel", "anchor_to_cell", "cell_to_anchor"]
 
+DS = 32  # grid cell edge, pixels: the image downsampling rate
+
 # Rows map camera-frame (x fwd, y left, z up) to optical (right, down, fwd).
 _CAM_TO_OPT = np.array([[0.0, -1.0, 0.0],
                         [0.0, 0.0, -1.0],
@@ -24,15 +26,15 @@ _CAM_TO_OPT = np.array([[0.0, -1.0, 0.0],
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Intrinsics, image geometry, and the world-from-camera rigid transform."""
+    """Intrinsics, image geometry, and the world-from-camera rigid
+    transform; for_lattice builds it and with_pose places it."""
 
     fx: float
     fy: float
     cx: float
     cy: float
-    width: int = 160
-    height: int = 96
-    ds: int = 32
+    width: int
+    height: int
     rotation: np.ndarray = None  # type: ignore[assignment]  # world-from-camera
     position: np.ndarray = None  # type: ignore[assignment]
 
@@ -43,18 +45,13 @@ class CameraModel:
         object.__setattr__(self, "position", pos)
 
     @classmethod
-    def from_fov(cls, fov_h: float, fov_v: float, width: int = 160,
-                 height: int = 96, ds: int = 32, **kw) -> "CameraModel":
-        fx = (width / 2) / np.tan(fov_h / 2)
-        fy = (height / 2) / np.tan(fov_v / 2)
-        return cls(fx, fy, width / 2, height / 2, width, height, ds, **kw)
-
-    @classmethod
-    def for_lattice(cls, cfg: LatticeConfig, **kw) -> "CameraModel":
-        """Camera matching a lattice: grid counts times downsampling rate."""
-        ds = kw.pop("ds", 32)
-        return cls.from_fov(cfg.fov_h, cfg.fov_v, width=cfg.m_phi * ds,
-                            height=cfg.m_theta * ds, ds=ds, **kw)
+    def for_lattice(cls, cfg: LatticeConfig) -> "CameraModel":
+        """Camera matching a lattice at the origin: the lattice's fields of
+        view, and one DS x DS pixel cell per anchor."""
+        width, height = cfg.m_phi * DS, cfg.m_theta * DS
+        fx = (width / 2) / np.tan(cfg.fov_h / 2)
+        fy = (height / 2) / np.tan(cfg.fov_v / 2)
+        return cls(fx, fy, width / 2, height / 2, width, height)
 
     def with_pose(self, rotation, position) -> "CameraModel":
         return replace(self, rotation=np.asarray(rotation, float),
@@ -105,10 +102,10 @@ class CameraModel:
 
     def pixel_to_cell(self, u, v) -> tuple[np.ndarray, np.ndarray]:
         """(col, row) grid cell indices containing a pixel."""
-        col = np.clip(np.floor(np.asarray(u) / self.ds).astype(int), 0,
-                      self.width // self.ds - 1)
-        row = np.clip(np.floor(np.asarray(v) / self.ds).astype(int), 0,
-                      self.height // self.ds - 1)
+        col = np.clip(np.floor(np.asarray(u) / DS).astype(int), 0,
+                      self.width // DS - 1)
+        row = np.clip(np.floor(np.asarray(v) / DS).astype(int), 0,
+                      self.height // DS - 1)
         return col, row
 
 

@@ -19,7 +19,7 @@ from scipy.spatial.transform import Rotation
 from .camera import CameraModel
 from .config import RunConfig, example_text
 from .costs import (CostEngine, PotentialParams, collision,
-                    goal as goal_cost, smoothness)
+                    goal as goal_cost, sample_points, smoothness)
 from .environment import (PointCloud, build_esdf, load_cloud, raycast,
                           save_cloud, save_esdf)
 from .policy import (HeadOptimizer, PolicyHead, assign_samples,
@@ -27,7 +27,6 @@ from .policy import (HeadOptimizer, PolicyHead, assign_samples,
                      sample_training_state, save_head)
 from .primitives import LatticeConfig
 from .simulator import run_navigation_episode, run_tracking_episode
-from .trajectory import hermite_matrix, power_row
 
 __all__ = ["main", "grad_check_report", "make_dataset", "load_frames",
            "build_training_frames", "train_head"]
@@ -144,13 +143,19 @@ def _random_grid(rng):
                       dims=(48, 40, 28), resolution=0.25)
 
 
+def _boundary(d_F: np.ndarray, d_P: np.ndarray) -> np.ndarray:
+    """One candidate's stacked boundary array, shape (1, 3, 6)."""
+    return np.concatenate([d_F, d_P], axis=1)[None]
+
+
 def grad_check_report(seed: int = 0, n_per_category: int = 200):
     """(rows, summary) of analytic-vs-finite-difference relative errors.
 
-    Each category accumulates n_per_category usable fixtures; collision and
-    chain-rule fixtures whose trajectory samples straddle field cell faces
-    are regenerated, since a two-sided difference across a face measures the
-    face average rather than the in-cell derivative.
+    smoothness, goal and collision audit the terms CostEngine is built from,
+    chain_rule the engine itself; each gets n_per_category usable fixtures.
+    Collision and chain-rule fixtures whose trajectory samples straddle field
+    cell faces are regenerated: a two-sided difference across a face
+    measures the face average rather than the in-cell derivative.
     """
     rng = np.random.default_rng(seed)
     cfg = LatticeConfig()
@@ -168,17 +173,19 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         T = float(rng.uniform(0.5, 3.0))
         # quadratic costs: the central difference is exact, so a coarse step
         # avoids amplifying roundoff
-        _, ga = smoothness(d_F, d_P, T)
-        gf = _fd_grad(lambda x: smoothness(d_F, x, T)[0], d_P.copy(), 1e-3)
-        record("smoothness", k, _rel_err(ga, gf))
+        _, ga = smoothness(_boundary(d_F, d_P), T)
+        gf = _fd_grad(lambda x: smoothness(_boundary(d_F, x), T)[0][0],
+                      d_P.copy(), 1e-3)
+        record("smoothness", k, _rel_err(ga[0], gf))
 
-        p = rng.normal(size=3) * 4
+        p = rng.normal(size=(1, 3)) * 4
         g = rng.normal(size=3) * 4
         _, ga = goal_cost(p, g)
-        gf = _fd_grad(lambda x: goal_cost(x, g)[0], p.copy(), 1e-3)
+        gf = _fd_grad(lambda x: goal_cost(x, g)[0][0], p.copy(), 1e-3)
         record("goal", k, _rel_err(ga, gf))
 
     grids = [_random_grid(rng) for _ in range(10)]
+    pot = PotentialParams()
     k = 0
     while k < n_per_category:
         grid = grids[k % len(grids)]
@@ -187,19 +194,15 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         d_P = np.column_stack([rng.uniform([2, -3, 0], [7, 3, 3]),
                                rng.normal(size=3), rng.normal(size=3)])
         T = 1.25
-        pot = PotentialParams()
-        coeffs = np.concatenate([d_F, d_P], axis=1) @ hermite_matrix(T).T
-        samples = np.stack([coeffs @ power_row(t, 0)
-                            for t in np.arange(21) * (T / 20)])
-        if _near_cell_face(grid, samples):
+        if _near_cell_face(grid, sample_points(_boundary(d_F, d_P), T)):
             continue
-        J, ga = collision(d_F, d_P, T, grid, pot)
-        if J < 1e-12:  # potential never active: gradient trivially zero
+        J, ga = collision(_boundary(d_F, d_P), T, grid, pot)
+        if J[0] < 1e-12:  # potential never active: gradient trivially zero
             continue
-        gf = _fd_grad(lambda x: collision(d_F, x, T, grid, pot,
-                                          need_grad=False)[0],
+        gf = _fd_grad(lambda x: collision(_boundary(d_F, x), T, grid, pot,
+                                          with_grad=False)[0][0],
                       d_P.copy(), 1e-6)
-        record("collision", k, _rel_err(ga, gf))
+        record("collision", k, _rel_err(ga[0], gf))
         k += 1
 
     k = 0
@@ -216,11 +219,8 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
         raw = rng.normal(size=(cfg.n_cells, 9)) * 0.5
         total, _, ga = engine.evaluate(raw)
         d = engine.decode(raw)
-        coeffs = np.concatenate(
-            [np.broadcast_to(d_F, d.shape), d], axis=2) @ engine._Mt
-        samples = coeffs @ engine._powers.T
-        if _near_cell_face(grid, np.ascontiguousarray(
-                samples.swapaxes(1, 2))):
+        d = np.concatenate([np.broadcast_to(d_F, d.shape), d], axis=2)
+        if _near_cell_face(grid, sample_points(d, engine.horizon_T)):
             continue
         i = int(rng.integers(cfg.n_cells))
         gf = _fd_grad(
@@ -255,6 +255,12 @@ def cmd_grad_check(cfg: RunConfig, seed: int, out: Path) -> int:
 
 # -- datasets and training -----------------------------------------------------
 
+def _scene_field(cloud: PointCloud):
+    """Distance field of a generated training scene, over one fixed box."""
+    return build_esdf(cloud, origin=(-3, -6, -0.5), dims=(56, 48, 24),
+                      resolution=0.25)
+
+
 def make_dataset(cfg: RunConfig, out: Path, seed: int = 0) -> int:
     """Frame directories of {pose file, point-cloud reference, target file}.
 
@@ -263,7 +269,7 @@ def make_dataset(cfg: RunConfig, out: Path, seed: int = 0) -> int:
     """
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    lattice = cfg.lattice_config()
+    lattice = cfg.lattice
     t = cfg["train"]
     n_frames = int(t["frames"])
     mode = t["mode"]
@@ -281,9 +287,7 @@ def make_dataset(cfg: RunConfig, out: Path, seed: int = 0) -> int:
         cloud = PointCloud(np.concatenate(pts) if pts else np.zeros((0, 3)))
         path = out / f"scene_{s:03d}.txt"
         save_cloud(path, cloud)
-        grid = build_esdf(cloud, origin=(-3, -6, -0.5), dims=(56, 48, 24),
-                          resolution=0.25)
-        scenes.append((path.name, grid))
+        scenes.append((path.name, _scene_field(cloud)))
     n = 0
     while n < n_frames:
         name, grid = scenes[int(rng.integers(n_scenes))]
@@ -337,9 +341,7 @@ def load_frames(dataset: Path) -> list[dict]:
         position, R = vals[0], vals[1:4]
         ref = (d / "cloud.txt").read_text().strip()
         if ref not in grids:
-            cloud = load_cloud(dataset / ref)
-            grids[ref] = build_esdf(cloud, origin=(-3, -6, -0.5),
-                                    dims=(56, 48, 24), resolution=0.25)
+            grids[ref] = _scene_field(load_cloud(dataset / ref))
         target = None
         if (d / "target.txt").exists():
             target = np.loadtxt(d / "target.txt")
@@ -352,7 +354,7 @@ def build_training_frames(cfg: RunConfig, records: list[dict],
                           seed: int = 0) -> list[dict]:
     """Attach sampled states, features, engines, and labels to raw frames."""
     rng = np.random.default_rng(seed)
-    lattice = cfg.lattice_config()
+    lattice = cfg.lattice
     sim = cfg["simulator"]
     alpha, v_max, a_max = sim["alpha"], sim["v_max"], sim["a_max"]
     weights = cfg.cost_weights()
@@ -462,10 +464,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    seeds = cfg.seeds
-    seed = args.seed if args.seed is not None else seeds[0]
-    if args.seed is not None:
-        seeds = [args.seed]
+    seeds = cfg.seeds if args.seed is None else [args.seed]
+    seed = seeds[0]
     backend = getattr(args, "backend", None) or cfg["run"]["backend"]
     try:
         if args.command == "generate-env":

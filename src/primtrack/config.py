@@ -1,8 +1,8 @@
 """Run configuration: flat key-value blocks with documented defaults.
 
-Every parameter has a default; unknown sections or keys are rejected so a
-typo cannot silently fall back. Values annotated as tuned defaults are
-empirical tuning choices of this package, not externally mandated numbers.
+Every parameter has a default; unknown sections or keys and bad values are
+rejected on load, each error naming its `[section] key`. Values annotated as
+tuned defaults are empirical tuning choices of this package.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ __all__ = ["RunConfig", "example_text"]
 
 _NP = "tuned default"
 _TRAIN_ONLY = "training only: flights do not read it"
-_MODES = ("navigation", "tracking")
+# the words a key accepts, which its help lists
+_CHOICES = {("run", "backend"): ("refiner", "head"),
+            ("train", "optimizer"): ("sgd", "momentum", "adam"),
+            ("train", "mode"): ("navigation", "tracking")}
 
 # (default, help) per key; a trailing "*" in help marks tuned defaults
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seeds": ("0 1 2 3 4 5 6 7 8 9", "episode seeds, whitespace-separated"),
-        "backend": ("refiner", "refiner | head"),
+        "backend": ("refiner", " | ".join(_CHOICES["run", "backend"])),
     },
     "lattice": {
         "m_phi": (5, "horizontal grid cells"),
@@ -100,9 +103,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "train": {
         "epochs": (200, "training epochs"),
         "learning_rate": (1e-3, "head learning rate"),
-        "optimizer": ("sgd", "sgd | momentum | adam *"),
+        "optimizer": ("sgd",
+                      " | ".join(_CHOICES["train", "optimizer"]) + " *"),
         "hidden": ("64 64", "hidden layer widths *"),
-        "mode": ("navigation", "training frame mode: navigation | tracking *"),
+        "mode": ("navigation", "training frame mode: "
+                 + " | ".join(_CHOICES["train", "mode"]) + " *"),
         "frames": (50, "frames generated by make-dataset *"),
         "obstacles": (3, "obstacle columns per generated scene *"),
     },
@@ -110,8 +115,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 
 def _parse_value(default, text: str):
-    if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
     if isinstance(default, int):
         return int(text)
     if isinstance(default, float):
@@ -119,11 +122,27 @@ def _parse_value(default, text: str):
     return text.strip()
 
 
+def _ints(values: dict, sec: str, key: str, least: int) -> list[int]:
+    words = str(values[sec][key]).split()
+    if not all(w.isdecimal() and int(w) >= least for w in words):
+        raise ValueError(f"[{sec}] {key} must be integers >= {least}, got "
+                         f"{values[sec][key]!r}")
+    return [int(w) for w in words]
+
+
+# LatticeConfig field -> its [lattice] key
+_LATTICE_KEYS = {"m_phi": "m_phi", "m_theta": "m_theta",
+                 "fov_h": "fov_h_deg", "fov_v": "fov_v_deg", "r": "radius"}
+
+
 @dataclass
 class RunConfig:
-    """Validated configuration values, one dict per block."""
+    """Validated configuration values, one dict per block, and what is read
+    from them once: the seeds, the hidden widths and the lattice."""
 
     values: dict = field(default_factory=dict)
+    seeds: list[int] = field(init=False)
+    lattice: LatticeConfig = field(init=False)
 
     def __post_init__(self):
         merged = {s: {k: v[0] for k, v in keys.items()}
@@ -135,10 +154,25 @@ class RunConfig:
                 if key not in _SCHEMA[sec]:
                     raise ValueError(f"unknown key {key!r} in section [{sec}]")
                 merged[sec][key] = val
-        if merged["train"]["mode"] not in _MODES:
-            raise ValueError(f"[train] mode must be one of {', '.join(_MODES)}"
-                             f", got {merged['train']['mode']!r}")
+        for (sec, key), words in _CHOICES.items():
+            if merged[sec][key] not in words:
+                raise ValueError(f"[{sec}] {key} must be one of "
+                                 f"{', '.join(words)}, got "
+                                 f"{merged[sec][key]!r}")
         self.values = merged
+        self.seeds = _ints(merged, "run", "seeds", 0)
+        if not self.seeds:
+            raise ValueError("[run] seeds must hold at least one integer")
+        self._hidden = tuple(_ints(merged, "train", "hidden", 1))
+        c = merged["lattice"]
+        try:
+            self.lattice = LatticeConfig(
+                c["m_phi"], c["m_theta"], math.radians(c["fov_h_deg"]),
+                math.radians(c["fov_v_deg"]), c["radius"])
+        except ValueError as e:
+            name, _, reason = str(e).partition(": ")
+            raise ValueError(f"[lattice] {_LATTICE_KEYS[name]}: {reason}") \
+                from None
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -149,16 +183,19 @@ class RunConfig:
     def loads(cls, text: str) -> "RunConfig":
         cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
-        cp.read_string(text)
-        values: dict = {}
-        for sec in cp.sections():
-            if sec not in _SCHEMA:
-                raise ValueError(f"unknown config section [{sec}]")
-            values[sec] = {}
-            for key, raw in cp[sec].items():
-                if key not in _SCHEMA[sec]:
-                    raise ValueError(f"unknown key {key!r} in section [{sec}]")
-                values[sec][key] = _parse_value(_SCHEMA[sec][key][0], raw)
+        try:
+            cp.read_string(text)
+        except configparser.Error as e:
+            raise ValueError(str(e)) from None
+        values = {sec: dict(cp[sec]) for sec in cp.sections()}
+        for sec, keys in values.items():  # __post_init__ rejects unknowns
+            for key, raw in keys.items():
+                if key in _SCHEMA.get(sec, {}):
+                    try:
+                        keys[key] = _parse_value(_SCHEMA[sec][key][0], raw)
+                    except ValueError:
+                        raise ValueError(f"[{sec}] {key}: cannot read "
+                                         f"{raw!r}") from None
         return cls(values)
 
     def dumps(self, annotate: bool = False) -> str:
@@ -182,17 +219,6 @@ class RunConfig:
             return cls.loads(f.read())
 
     # -- domain objects ------------------------------------------------------
-
-    @property
-    def seeds(self) -> list[int]:
-        return [int(s) for s in str(self["run"]["seeds"]).split()]
-
-    def lattice_config(self) -> LatticeConfig:
-        c = self["lattice"]
-        return LatticeConfig(m_phi=c["m_phi"], m_theta=c["m_theta"],
-                             fov_h=math.radians(c["fov_h_deg"]),
-                             fov_v=math.radians(c["fov_v_deg"]),
-                             r=c["radius"])
 
     def cost_weights(self) -> CostWeights:
         c = self["cost"]
@@ -232,7 +258,7 @@ class RunConfig:
             goal_radius=s["goal_radius"], flight_height=s["flight_height"],
             kp=s["kp"], kv=s["kv"], lost_timeout=s["lost_timeout"],
             acquire_timeout=s["acquire_timeout"], max_time=s["max_time"],
-            refine_steps=s["refine_steps"], lattice=self.lattice_config(),
+            refine_steps=s["refine_steps"], lattice=self.lattice,
             weights=replace(self.cost_weights(),
                             lambda_c=s["collision_weight"]),
             detection=det)
@@ -245,7 +271,7 @@ class RunConfig:
                             acc_std=c["acc_std"])
 
     def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(int(w) for w in str(self["train"]["hidden"]).split())
+        return self._hidden
 
 
 def example_text() -> str:

@@ -7,8 +7,11 @@ w.r.t. the free end state d_P and chain-ruled through the anchor decoding
 (tanh offset bounds, spherical endpoint map, denormalization) down to the
 raw prediction variables.
 
-All functions accept either a single candidate or a batch: d_P of shape
-(3, 3) or (N, 3, 3) with rows = axes and columns = (pos, vel, acc).
+The term functions `smoothness`, `collision` and `goal` are batched: d of
+shape (N, 3, 6) stacks each candidate's start state d_F and end state d_P,
+rows = axes and columns = (pos, vel, acc) at the start, then at the end.
+CostEngine is built from them, so flights, training and the gradient audit
+all run the same cost code.
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ class PotentialParams:
         if not self.falloff > 0:
             raise ValueError("falloff must be positive")
 
-    def value_and_slope(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c(d), c'(d)) with the cutoff applied."""
-        c = np.exp(-(d - self.d_safe) / self.falloff)
-        mask = d < self.cutoff
-        c = np.where(mask, c, 0.0)
-        return c, np.where(mask, -c / self.falloff, 0.0)
-
 
 @lru_cache(maxsize=64)
 def jerk_gram_matrix(horizon_T: float) -> np.ndarray:
@@ -100,35 +96,12 @@ def _hermite_gram(horizon_T: float) -> np.ndarray:
     return B
 
 
-def _stack_d(d_F: np.ndarray, d_P: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Concatenate to (N, 3, 6); returns (array, was_batched)."""
-    d_F = np.asarray(d_F, float)
-    d_P = np.asarray(d_P, float)
-    batched = d_P.ndim == 3
-    if not batched:
-        d_P = d_P[None]
-    d_F = np.broadcast_to(d_F, d_P.shape)
-    return np.concatenate([d_F, d_P], axis=2), batched
-
-
-def smoothness(d_F, d_P, horizon_T: float):
-    """Integral of squared jerk and its gradient w.r.t. d_P.
-
-    Returns (J_s, grad) with J_s scalar (or (N,)) summed over axes and grad
-    of shape (3, 3) (or (N, 3, 3)).
-    """
-    d, batched = _stack_d(d_F, d_P)
-    B = _hermite_gram(horizon_T)
-    J = np.einsum("nai,ij,naj->n", d, B, d)
-    grad = 2.0 * np.einsum("nai,ij->naj", d, B)[:, :, 3:]
-    if not batched:
-        return float(J[0]), grad[0]
-    return J, grad
-
-
-def _coefficients(d_F, d_P, horizon_T: float) -> np.ndarray:
-    d, _ = _stack_d(d_F, d_P)
-    return d @ hermite_matrix(horizon_T).T  # (N, 3, 6)
+def smoothness(d: np.ndarray, horizon_T: float, with_grad: bool = True):
+    """J_s (N,), the squared jerk's integral summed over axes, and its
+    gradient (N, 3, 3) w.r.t. the end state d[:, :, 3:], or None."""
+    dB = d @ _hermite_gram(horizon_T)
+    return np.einsum("nai,nai->n", dB, d), \
+        2.0 * dB[:, :, 3:] if with_grad else None
 
 
 _SAMPLES = 20  # the potential is sampled at 21 points, T/20 apart
@@ -146,37 +119,39 @@ def _sample_rows(horizon_T: float):
     return powers, P
 
 
-def collision(d_F, d_P, horizon_T: float, grid: EsdfGrid,
-              params: PotentialParams, need_grad: bool = True):
-    """Time integral of the obstacle potential and its d_P gradient.
+def sample_points(d: np.ndarray, horizon_T: float) -> np.ndarray:
+    """Positions (N, 21, 3) at the potential's sample times k T / 20."""
+    coeffs = d @ hermite_matrix(horizon_T).T  # (N, 3, 6)
+    return np.ascontiguousarray(
+        (coeffs @ _sample_rows(horizon_T)[0].T).swapaxes(1, 2))
+
+
+def collision(d: np.ndarray, horizon_T: float, grid: EsdfGrid,
+              params: PotentialParams, with_grad: bool = True):
+    """Time integral of the obstacle potential and its end-state gradient.
 
     The trajectory is sampled at 21 points, T/20 apart, endpoints included;
-    out-of-bounds samples use clamped field queries. With need_grad=False
-    the gradient is skipped (returned as None).
+    out-of-bounds samples use clamped field queries. Returns (J_c (N,),
+    grad (N, 3, 3) or None when with_grad is False).
     """
-    powers, P = _sample_rows(float(horizon_T))
     dt = horizon_T / _SAMPLES
-    coeffs = _coefficients(d_F, d_P, horizon_T)  # (N, 3, 6)
-    batched = np.asarray(d_P).ndim == 3
-    pos = np.einsum("nac,kc->nka", coeffs, powers)  # (N, K, 3)
-    dist, grad_d = grid.query(pos, with_grad=need_grad)
-    c, c_slope = params.value_and_slope(dist)
+    dist, grad_d = grid.query(sample_points(d, horizon_T),
+                              with_grad=with_grad)
+    near = dist < params.cutoff
+    c = np.zeros_like(dist)
+    c[near] = np.exp((params.d_safe - dist[near]) / params.falloff)
     J = c.sum(axis=1) * dt
-    if not need_grad:
-        return (J, None) if batched else (float(J[0]), None)
+    if not with_grad:
+        return J, None
     # dJ/dd_P[axis, comp] = sum_k c'(d) * dd/dx_axis * (T_k . L_P)[comp] dt
-    dcdx = c_slope[..., None] * grad_d  # (N, K, 3)
-    grad = np.einsum("nka,kc->nac", dcdx, P) * dt
-    if not batched:
-        return float(J[0]), grad[0]
-    return J, grad
+    dcdx = (-dt / params.falloff) * c[..., None] * grad_d  # (N, K, 3)
+    return J, dcdx.swapaxes(1, 2) @ _sample_rows(horizon_T)[1]
 
 
-def goal(d_P_position, goal_p):
-    """Squared endpoint-to-goal distance and its gradient."""
-    diff = np.asarray(d_P_position, float) - np.asarray(goal_p, float)
-    J = np.sum(diff * diff, axis=-1)
-    return (float(J) if diff.ndim == 1 else J), 2.0 * diff
+def goal(p: np.ndarray, goal_p: np.ndarray, with_grad: bool = True):
+    """Squared end-position-to-goal distance (N,), gradient (N, 3) or None."""
+    diff = p - goal_p
+    return np.einsum("na,na->n", diff, diff), 2.0 * diff if with_grad else None
 
 
 # -- decode and chain rule to raw prediction variables ----------------------
@@ -230,36 +205,17 @@ def _backward(grad_dP, y, geo, cfg: LatticeConfig, vel_scale, acc_scale,
     return out
 
 
-def decode_raw_batch(raw: np.ndarray, cfg: LatticeConfig, alpha: float,
-                     v_max: float, a_max: float, rotation=None,
-                     position=None) -> np.ndarray:
-    """Decode raw (n_cells, 9) trajectory variables, one row per lattice
-    anchor in flat order, into world end states (n_cells, 3, 3).
-
-    rotation/position place the camera in the world (identity/origin when
-    omitted).
-    """
-    if not (alpha > 0 and v_max > 0 and a_max > 0):
-        raise ValueError("scales must be positive")
-    raw = np.atleast_2d(np.asarray(raw, float))
-    R = np.eye(3) if rotation is None else np.asarray(rotation, float)
-    position = 0.0 if position is None else np.asarray(position, float)
-    return _forward(raw, *build_library(cfg), cfg, alpha * v_max,
-                    alpha ** 2 * a_max, R, position,
-                    np.empty((len(raw), 3, 3)))[2]
-
-
 def chain_rule_batch(grad_dP: np.ndarray, raw: np.ndarray,
                      cfg: LatticeConfig, alpha: float, v_max: float,
-                     a_max: float, rotation=None) -> np.ndarray:
+                     a_max: float, rotation: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. raw variables, shape (n_cells, 9), from d_P
-    gradients; rows are lattice anchors in flat order."""
+    gradients; rows are lattice anchors in flat order, and rotation is the
+    camera's world-from-camera rotation."""
     raw = np.atleast_2d(np.asarray(raw, float))
     grad_dP = np.asarray(grad_dP, float).reshape(len(raw), 3, 3)
-    R = np.eye(3) if rotation is None else np.asarray(rotation, float)
     y, geo = _geometry(raw, *build_library(cfg), cfg)
     return _backward(grad_dP, y, geo, cfg, alpha * v_max, alpha ** 2 * a_max,
-                     R)
+                     np.asarray(rotation, float))
 
 
 # -- losses -----------------------------------------------------------------
@@ -318,17 +274,11 @@ class CostEngine:
             if norm < 1e-9:
                 raise ValueError("navigation goal coincides with position")
             self.goal_p = self.position + delta / norm * self.cfg.r
-        T = self.horizon_T = horizon(self.cfg, self.alpha, self.v_max)
-        self._B = _hermite_gram(T)
-        self._Mt = hermite_matrix(T).T
-        self._powers, self._P = _sample_rows(T)
-        self._dt = T / _SAMPLES
+        if not self.a_max > 0:
+            raise ValueError("scales must be positive")
+        self.horizon_T = horizon(self.cfg, self.alpha, self.v_max)
         self._vel_scale = self.alpha * self.v_max
         self._acc_scale = self.alpha ** 2 * self.a_max
-        g = self.grid
-        nx, ny, nz = g.dims
-        self._grid_args = (True, g._flat, nx, ny, nz, g.origin,
-                           float(g.resolution))
         self.set_anchors()
 
     def set_anchors(self) -> None:
@@ -336,43 +286,40 @@ class CostEngine:
         self.thetas, self.phis = build_library(self.cfg)
 
     def decode(self, raw: np.ndarray) -> np.ndarray:
-        return decode_raw_batch(raw, self.cfg, self.alpha, self.v_max,
-                                self.a_max, self.rotation, self.position)
+        """World end states (N, 3, 3) of raw rows, one per anchor."""
+        raw = np.atleast_2d(np.asarray(raw, float))
+        return _forward(raw, self.thetas, self.phis, self.cfg,
+                        self._vel_scale, self._acc_scale, self.rotation,
+                        self.position, np.empty((len(raw), 3, 3)))[2]
 
     def evaluate(self, raw: np.ndarray, with_grad: bool = True, idx=None):
         """Weighted cost per candidate and, optionally, raw-space gradients.
 
         idx restricts the evaluation to a subset of the anchors (raw rows
         must match). Returns (total (N,), parts dict, grad (N, 9) or None).
-        The decode and the chain rule are the helpers that decode_raw_batch
-        and chain_rule_batch use.
+        The terms are smoothness, collision and goal, and the chain rule is
+        the helper that chain_rule_batch uses.
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         n = len(raw)
-        anchor_th, anchor_ph = self.thetas, self.phis
-        if idx is not None:
-            anchor_th = anchor_th[idx]
-            anchor_ph = anchor_ph[idx]
+        anchor_th, anchor_ph = (self.thetas, self.phis) if idx is None \
+            else (self.thetas[idx], self.phis[idx])
         if self.use_kernel and kernels.HAVE_NUMBA:
-            w = self.weights
-            pot = self.potential
-            total = np.empty(n)
-            J_s = np.empty(n)
-            J_c = np.empty(n)
-            J_g = np.empty(n)
-            grad_raw = np.empty((n, RAW_DIM)) if with_grad else np.empty((0, RAW_DIM))
+            w, pot, g, T = self.weights, self.potential, self.grid, \
+                self.horizon_T
+            out = np.empty((4, n))  # total, J_s, J_c, J_g
+            grad_raw = np.empty((n if with_grad else 0, RAW_DIM))
             kernels.eval_batch(
                 np.ascontiguousarray(raw), anchor_th, anchor_ph,
-                np.full(n, self.cfg.r),
-                self.cfg.d_theta, self.cfg.d_phi, self.d_F, self._B, self._Mt,
-                self._powers, self._P, self.rotation, self.position,
-                self.goal_p, self._vel_scale, self._acc_scale,
-                w.lambda_s, w.lambda_c, w.lambda_g,
-                pot.d_safe, pot.falloff, pot.cutoff, self._dt,
-                *self._grid_args, with_grad,
-                total, J_s, J_c, J_g, grad_raw)
-            parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
-            return total, parts, grad_raw if with_grad else None
+                np.full(n, self.cfg.r), self.cfg.d_theta, self.cfg.d_phi,
+                self.d_F, _hermite_gram(T), hermite_matrix(T).T,
+                *_sample_rows(T), self.rotation, self.position, self.goal_p,
+                self._vel_scale, self._acc_scale, w.lambda_s, w.lambda_c,
+                w.lambda_g, pot.d_safe, pot.falloff, pot.cutoff,
+                T / _SAMPLES, True, g._flat, *g.dims, g.origin,
+                float(g.resolution), with_grad, *out, grad_raw)
+            parts = dict(zip(("J_s", "J_c", "J_g"), out[1:]))
+            return out[0], parts, grad_raw if with_grad else None
         y, geo, parts, terms = self._terms(raw, anchor_th, anchor_ph,
                                            with_grad)
         w = self.weights
@@ -390,11 +337,9 @@ class CostEngine:
     def evaluate_terms(self, raw: np.ndarray):
         """Unweighted cost terms and their end-state gradients, all anchors.
 
-        Returns (parts, (g_s, g_c, g_goal)): parts as in evaluate; g_s and
-        g_c of shape (N, 3, 3) are the gradients of J_s and J_c w.r.t. the
-        end state d_P, and g_goal (N, 3) that of J_g w.r.t. the end
-        position. One field query serves all terms; the decode is the
-        helper that evaluate and decode_raw_batch use.
+        Returns (parts, (g_s, g_c, g_goal)): parts as in evaluate, and the
+        gradients of J_s and J_c w.r.t. the end state d_P (N, 3, 3) and of
+        J_g w.r.t. the end position (N, 3).
         """
         raw = np.atleast_2d(np.asarray(raw, float))
         _, _, parts, terms = self._terms(raw, self.thetas, self.phis, True)
@@ -403,31 +348,14 @@ class CostEngine:
     def _terms(self, raw, anchor_th, anchor_ph, with_grad):
         """Decode and score raw rows: (tanh(raw), decode geometry, parts,
         unweighted end-state gradients (g_s, g_c, g_goal) or None)."""
-        n = len(raw)
-        d = np.empty((n, 3, 6))
+        d = np.empty((len(raw), 3, 6))
         d[:, :, :3] = self.d_F
         y, geo, _ = _forward(raw, anchor_th, anchor_ph, self.cfg,
                              self._vel_scale, self._acc_scale, self.rotation,
                              self.position, d[:, :, 3:])
-        # squared-jerk quadratic form
-        dB = d @ self._B
-        J_s = np.einsum("nai,nai->n", dB, d)
-        # obstacle potential along the sampled path
-        pot = self.potential
-        coeffs = d @ self._Mt  # (n, 3, 6)
-        pos = np.ascontiguousarray(
-            (coeffs @ self._powers.T).swapaxes(1, 2))  # (n, K, 3)
-        dist, grad_d = self.grid.query(pos, with_grad=with_grad)
-        near = dist < pot.cutoff
-        c = np.zeros_like(dist)
-        c[near] = np.exp((pot.d_safe - dist[near]) / pot.falloff)
-        J_c = c.sum(axis=1) * self._dt
-        diff = d[:, :, 3] - self.goal_p
-        J_g = np.einsum("na,na->n", diff, diff)
-        parts = {"J_s": J_s, "J_c": J_c, "J_g": J_g}
-        if not with_grad:
-            return y, geo, parts, None
-        g_s = 2.0 * dB[:, :, 3:]
-        dcdx = (-self._dt / pot.falloff) * c[..., None] * grad_d  # (n, K, 3)
-        g_c = dcdx.swapaxes(1, 2) @ self._P
-        return y, geo, parts, (g_s, g_c, 2.0 * diff)
+        T = self.horizon_T
+        J_s, g_s = smoothness(d, T, with_grad)
+        J_c, g_c = collision(d, T, self.grid, self.potential, with_grad)
+        J_g, g_g = goal(d[:, :, 3], self.goal_p, with_grad)
+        return y, geo, {"J_s": J_s, "J_c": J_c, "J_g": J_g}, \
+            (g_s, g_c, g_g) if with_grad else None

@@ -47,6 +47,9 @@ class PointCloud:
         return len(self.points)
 
 
+_SPAWN_CLEAR = 2.0  # trunk-free radius around each clear point, meters
+
+
 @dataclass(frozen=True)
 class ForestSpec:
     """Homogeneous Poisson forest of vertical cylindrical trunks.
@@ -59,7 +62,6 @@ class ForestSpec:
     trunk_radius: float = 0.15
     trunk_height: float = 4.0
     seed: int = 0
-    spawn_clear_radius: float = 2.0
     min_spacing: float | None = None  # hard-core thinning distance
 
     def __post_init__(self):
@@ -84,7 +86,7 @@ def trunk_positions(spec: ForestSpec, clear_points=()) -> np.ndarray:
         xy = np.asarray(kept).reshape(-1, 2)
     for cp in clear_points:
         cp = np.asarray(cp, float)[:2]
-        keep = np.linalg.norm(xy - cp, axis=1) > spec.spawn_clear_radius
+        keep = np.linalg.norm(xy - cp, axis=1) > _SPAWN_CLEAR
         xy = xy[keep]
     return xy
 
@@ -297,10 +299,11 @@ def save_cloud(path, cloud: PointCloud) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    pts = np.loadtxt(path, ndmin=2)
-    if pts.size == 0:
-        pts = np.zeros((0, 3))
-    return PointCloud(pts)
+    """Read save_cloud's format; a file with no points is the empty cloud."""
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    return PointCloud(np.loadtxt(lines, ndmin=2) if lines
+                      else np.zeros((0, 3)))
 
 
 _ESDF_MAGIC = b"PTESDF01"

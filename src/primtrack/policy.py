@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraModel, anchor_to_cell, cell_to_anchor
+from .camera import DS, CameraModel, anchor_to_cell, cell_to_anchor
 from .costs import CostEngine, chain_rule_batch, smooth_l1, smooth_l1_grad
 from .environment import EsdfGrid, raycast
 from .primitives import LatticeConfig, build_library, spherical_endpoint
@@ -298,15 +298,17 @@ class PolicyHead:
         return grads_w, grads_b
 
 
+_MOMENTUM = 0.9  # momentum, and Adam's first-moment decay
+_BETA2 = 0.999  # Adam's second-moment decay
+_EPS = 1e-8  # Adam's denominator floor
+
+
 @dataclass
 class HeadOptimizer:
     """Plain gradient descent with optional momentum or Adam."""
 
     learning_rate: float = 1e-3
     method: str = "sgd"  # sgd | momentum | adam
-    momentum: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _state: dict = field(default_factory=dict)
     _t: int = 0
 
@@ -319,19 +321,19 @@ class HeadOptimizer:
                 p -= self.learning_rate * g
             elif self.method == "momentum":
                 v = self._state.setdefault(("v", idx), np.zeros_like(p))
-                v *= self.momentum
+                v *= _MOMENTUM
                 v += g
                 p -= self.learning_rate * v
             elif self.method == "adam":
                 m = self._state.setdefault(("m", idx), np.zeros_like(p))
                 v = self._state.setdefault(("v2", idx), np.zeros_like(p))
-                m *= self.momentum
-                m += (1 - self.momentum) * g
-                v *= self.beta2
-                v += (1 - self.beta2) * g * g
-                mh = m / (1 - self.momentum ** self._t)
-                vh = v / (1 - self.beta2 ** self._t)
-                p -= self.learning_rate * mh / (np.sqrt(vh) + self.eps)
+                m *= _MOMENTUM
+                m += (1 - _MOMENTUM) * g
+                v *= _BETA2
+                v += (1 - _BETA2) * g * g
+                mh = m / (1 - _MOMENTUM ** self._t)
+                vh = v / (1 - _BETA2 ** self._t)
+                p -= self.learning_rate * mh / (np.sqrt(vh) + _EPS)
             else:
                 raise ValueError(f"unknown optimizer {self.method!r}")
 
@@ -515,8 +517,8 @@ def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
             i, j = divmod(k, cfg.m_theta)
             col, row = anchor_to_cell(i, j, cfg)
             sig_u, sig_v = _sigmoid(y[k, 11]), _sigmoid(y[k, 12])
-            u = (sig_u + col) * cam.ds
-            v = (sig_v + row) * cam.ds
+            u = (sig_u + col) * DS
+            v = (sig_v + row) * DS
             y_d = y[k, 13]
             p_c = cam.unproject_camera(u, v, y_d)
             resid_t = p_c - target_cam
@@ -529,8 +531,8 @@ def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
             dp_du = np.array([0.0, -y_d / cam.fx, 0.0])
             dp_dv = np.array([0.0, 0.0, -y_d / cam.fy])
             dp_dd = np.array([1.0, -x_o, -y_o])
-            du_dyu = sig_u * (1 - sig_u) * cam.ds
-            dv_dyv = sig_v * (1 - sig_v) * cam.ds
+            du_dyu = sig_u * (1 - sig_u) * DS
+            dv_dyv = sig_v * (1 - sig_v) * DS
             dLdy[k, 11] = float(g_pc @ dp_du) * du_dyu
             dLdy[k, 12] = float(g_pc @ dp_dv) * dv_dyv
             dLdy[k, 13] = float(g_pc @ dp_dd)

@@ -3,7 +3,7 @@
 Anchors are trajectory endpoints placed at grid-cell-center angles on a
 sphere of radius r in the camera frame (x forward, y left, z up). Raw
 predictions refine an anchor by tanh-bounded angular/radial offsets and
-carry denormalized end derivatives; `costs.decode_raw_batch` decodes them.
+carry denormalized end derivatives; `costs.CostEngine.decode` decodes them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ def spherical_endpoint(theta: float, phi: float, r: float) -> np.ndarray:
 class LatticeConfig:
     """Anchor lattice geometry: grid counts, FOV, planning radius, offset ranges.
 
-    d_theta / d_phi default to 1.25x the angular half-pitch of the grid so
-    neighboring cells overlap slightly at their shared boundary.
+    The offset ranges d_theta / d_phi are 1.25x the angular half-pitch of
+    the grid, so neighboring cells overlap slightly at their shared boundary.
+    Errors name the offending field first, as "field: reason".
     """
 
     m_phi: int = 5
@@ -42,23 +43,22 @@ class LatticeConfig:
     fov_h: float = np.deg2rad(90.0)
     fov_v: float = 2.0 * np.arctan(np.tan(np.deg2rad(45.0)) * 9.0 / 16.0)
     r: float = 5.0
-    d_theta: float = field(default=None)  # type: ignore[assignment]
-    d_phi: float = field(default=None)  # type: ignore[assignment]
+    d_theta: float = field(init=False)
+    d_phi: float = field(init=False)
 
     def __post_init__(self):
-        if self.m_phi < 1 or self.m_theta < 1:
-            raise ValueError("grid counts must be >= 1")
-        if not (0.0 < self.fov_h < np.pi and 0.0 < self.fov_v < np.pi):
-            raise ValueError("FOV angles must lie in (0, pi)")
+        for name in ("m_phi", "m_theta"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name}: grid counts must be >= 1")
+        for name in ("fov_h", "fov_v"):
+            if not 0.0 < getattr(self, name) < np.pi:
+                raise ValueError(f"{name}: FOV angles must lie strictly "
+                                 "between 0 and 180 degrees")
         if not self.r > 0:
-            raise ValueError("planning radius must be positive")
-        if self.d_phi is None:
-            object.__setattr__(self, "d_phi", 1.25 * self.fov_h / (2 * self.m_phi))
-        if self.d_theta is None:
-            object.__setattr__(self, "d_theta", 1.25 * self.fov_v / (2 * self.m_theta))
-        if self.d_phi <= self.fov_h / (2 * self.m_phi) or \
-                self.d_theta <= self.fov_v / (2 * self.m_theta):
-            raise ValueError("offset ranges must exceed half the grid pitch")
+            raise ValueError("r: planning radius must be positive")
+        object.__setattr__(self, "d_phi", 1.25 * self.fov_h / (2 * self.m_phi))
+        object.__setattr__(self, "d_theta",
+                           1.25 * self.fov_v / (2 * self.m_theta))
 
     @property
     def n_cells(self) -> int:

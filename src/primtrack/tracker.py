@@ -21,6 +21,9 @@ __all__ = [
 _H = np.hstack([np.eye(3), np.zeros((3, 3))])  # measurement matrix
 _POSITION_VAR = 1.0  # initial position variance of a new track, m^2
 _VELOCITY_VAR = 4.0  # initial velocity variance of a new track, m^2/s^2
+_Q = 4.0  # process-noise intensity (m^2/s^3); deliberately large
+_R_M = 0.04 * np.eye(3)  # detection position covariance, m^2
+_GATE = 2.0  # max accepted position innovation (m)
 
 
 def process_noise(q: float, dt: float) -> np.ndarray:
@@ -32,21 +35,14 @@ def process_noise(q: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetEstimate:
-    """Position/velocity state with covariance and gating parameters."""
+    """Position/velocity state with covariance."""
 
     x: np.ndarray  # (6,): position, velocity
     P: np.ndarray  # (6, 6)
-    q: float = 4.0  # process-noise intensity (m^2/s^3); deliberately large
-    R_m: np.ndarray = None  # type: ignore[assignment]
-    gate: float = 2.0  # max accepted position innovation (m)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, float))
         object.__setattr__(self, "P", np.asarray(self.P, float))
-        if self.R_m is None:
-            object.__setattr__(self, "R_m", 0.04 * np.eye(3))
-        else:
-            object.__setattr__(self, "R_m", np.asarray(self.R_m, float))
 
     @classmethod
     def from_position(cls, position) -> "TargetEstimate":
@@ -63,7 +59,7 @@ class TargetEstimate:
         return self.x[3:]
 
     def kalman_gain(self) -> np.ndarray:
-        S = _H @ self.P @ _H.T + self.R_m
+        S = _H @ self.P @ _H.T + _R_M
         return self.P @ _H.T @ np.linalg.inv(S)
 
 
@@ -74,7 +70,7 @@ def predict(est: TargetEstimate, dt: float) -> TargetEstimate:
     F = np.eye(6)
     F[:3, 3:] = dt * np.eye(3)
     x = F @ est.x
-    P = F @ est.P @ F.T + process_noise(est.q, dt)
+    P = F @ est.P @ F.T + process_noise(_Q, dt)
     return replace(est, x=x, P=P)
 
 
@@ -90,7 +86,7 @@ def gated_update(est: TargetEstimate, detections):
     if not detections:
         return est, None
     K = est.kalman_gain()
-    best, best_inc = None, est.gate
+    best, best_inc = None, _GATE
     for idx, z in enumerate(detections):
         innovation = z - _H @ est.x
         inconsistency = float(np.linalg.norm((K @ innovation)[:3]))
@@ -101,7 +97,7 @@ def gated_update(est: TargetEstimate, detections):
     z = detections[best]
     x = est.x + K @ (z - _H @ est.x)
     I_KH = np.eye(6) - K @ _H
-    P = I_KH @ est.P @ I_KH.T + K @ est.R_m @ K.T  # Joseph form
+    P = I_KH @ est.P @ I_KH.T + K @ _R_M @ K.T  # Joseph form
     return replace(est, x=x, P=P), best
 
 

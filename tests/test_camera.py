@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from primtrack.camera import CameraModel, anchor_to_cell, cell_to_anchor
+from primtrack.camera import DS, CameraModel, anchor_to_cell, cell_to_anchor
 from primtrack.primitives import LatticeConfig, build_library, \
     spherical_endpoint
 
@@ -51,8 +51,8 @@ def test_optical_axis_projects_to_center():
 def test_for_lattice_fov_matches_image_edges():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
-    assert cam.width == cfg.m_phi * cam.ds
-    assert cam.height == cfg.m_theta * cam.ds
+    assert cam.width == cfg.m_phi * DS
+    assert cam.height == cfg.m_theta * DS
     # the horizontal FOV edge ray lands exactly on the image border
     edge = np.array([np.cos(cfg.fov_h / 2), np.sin(cfg.fov_h / 2), 0.0])
     u, _, _ = cam.project_camera(edge)
@@ -105,13 +105,14 @@ def test_anchor_endpoints_project_into_their_cells(m_phi, m_theta, fov_h,
 def test_pixel_to_cell_clipping():
     cam = CameraModel.for_lattice(LatticeConfig())
     col, row = cam.pixel_to_cell(-5.0, 1e6)
-    assert col == 0 and row == cam.height // cam.ds - 1
+    assert col == 0 and row == cam.height // DS - 1
 
 
 def test_intrinsics_matrix():
     # the projection is the intrinsics matrix applied to the optical-frame
     # point (right, down, forward)
-    cam = CameraModel.from_fov(np.pi / 2, np.pi / 3)
+    cam = CameraModel.for_lattice(LatticeConfig(fov_h=np.pi / 2,
+                                                fov_v=np.pi / 3))
     K = np.array([[cam.fx, 0.0, cam.cx], [0.0, cam.fy, cam.cy],
                   [0.0, 0.0, 1.0]])
     p_c = np.array([4.0, -0.7, 0.3])  # forward, left, up

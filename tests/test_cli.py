@@ -16,10 +16,11 @@ def test_example_config_prints_parseable(capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[nope]\nx = 1\n")
-    assert main(["generate-env", "--config", str(bad),
-                 "--out", str(tmp_path)]) == 2
-    assert "error" in capsys.readouterr().err
+    for text in ("[nope]\nx = 1\n", "seeds = 0\n"):  # no section header
+        bad.write_text(text)
+        assert main(["generate-env", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_misspelt_train_mode_exits_2(tmp_path, capsys):
@@ -30,6 +31,23 @@ def test_misspelt_train_mode_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[train] mode" in err and "tracknig" in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "seeds", "0 x"), ("run", "seeds", ""), ("run", "seeds", "-1"),
+    ("train", "hidden", "64 x"), ("train", "hidden", "64 0"),
+    ("train", "optimizer", "adamm"),
+    ("run", "backend", "heda"), ("lattice", "m_phi", "0"),
+    ("train", "epochs", "many")])
+def test_bad_config_value_exits_2_naming_the_key(section, key, value,
+                                                 tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["generate-env", "--config", str(bad),
+                 "--out", str(tmp_path / "env")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "env").exists()
 
 
 # [cost] keys that only training reads: flights take lambda_c from

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primtrack import cli
-from primtrack.config import _SCHEMA, RunConfig, example_text
+from primtrack.config import _CHOICES, _SCHEMA, RunConfig, example_text
 from primtrack.costs import CostWeights, PotentialParams
 from primtrack.policy import StateSampler
 from primtrack.primitives import LatticeConfig
@@ -74,17 +74,21 @@ def test_save_load_file_round_trip(tmp_path):
     assert back.seeds == [3, 5, 7]
 
 
-_WORDS = {("run", "backend"): ("refiner", "head"),
-          ("train", "optimizer"): ("sgd", "momentum", "adam"),
-          ("train", "mode"): ("navigation", "tracking")}
 _INT_LISTS = {("run", "seeds"), ("train", "hidden")}
+# the ranges LatticeConfig accepts
+_LATTICE = {"m_phi": st.integers(1, 10**9), "m_theta": st.integers(1, 10**9),
+            "fov_h_deg": st.floats(1e-3, 179.9),
+            "fov_v_deg": st.floats(1e-3, 179.9), "radius": st.floats(1e-3, 1e9)}
 
 
 def _valid_value(sec, key, default):
-    if (sec, key) in _WORDS:
-        return st.sampled_from(_WORDS[sec, key])
-    if (sec, key) in _INT_LISTS:
-        return st.lists(st.integers(0, 10**6), min_size=1, max_size=5).map(
+    if (sec, key) in _CHOICES:
+        return st.sampled_from(_CHOICES[sec, key])
+    if sec == "lattice":
+        return _LATTICE[key]
+    if (sec, key) in _INT_LISTS:  # seeds >= 0, hidden widths >= 1
+        low = int(key == "hidden")
+        return st.lists(st.integers(low, 10**6), min_size=1, max_size=5).map(
             lambda xs: " ".join(map(str, xs)))
     if isinstance(default, int):
         return st.integers(-10**9, 10**9)
@@ -105,7 +109,7 @@ def test_dumps_loads_identity(cfg, annotate):
 
 
 def test_lattice_builder():
-    lat = RunConfig().lattice_config()
+    lat = RunConfig().lattice
     assert lat.m_phi == 5 and lat.m_theta == 3 and lat.r == 5.0
     assert np.isclose(lat.fov_h, math.pi / 2)
     assert np.isclose(lat.fov_v, 2 * math.atan(math.tan(math.pi / 4) * 9 / 16))
@@ -138,7 +142,7 @@ def test_builders_match_dataclass_defaults():
     assert cfg.sim_params() == SimParams()
     assert cfg.sampler() == StateSampler()
     assert cfg.cost_weights() == CostWeights()
-    assert cfg.lattice_config() == LatticeConfig()
+    assert cfg.lattice == LatticeConfig()
     assert cfg.potential_params() == PotentialParams()
 
 
@@ -164,7 +168,7 @@ _READ_BY_CLI = {
 
 def _built(cfg: RunConfig, arena: bool):
     """Everything the builders make from cfg, as comparable text."""
-    out = [cfg.lattice_config(), cfg.cost_weights(),
+    out = [cfg.lattice, cfg.cost_weights(),
            cfg.potential_params(), cfg.sim_params(), cfg.sampler()]
     text = repr(out)
     if arena:

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from primtrack import kernels
 from primtrack.costs import (CostEngine, CostWeights, PotentialParams,
-                             chain_rule_batch, collision, decode_raw_batch,
-                             goal, jerk_gram_matrix, smooth_l1,
-                             smooth_l1_grad, smoothness)
+                             chain_rule_batch, collision, goal,
+                             jerk_gram_matrix, smooth_l1, smooth_l1_grad,
+                             smoothness)
 from primtrack.environment import EsdfGrid, PointCloud, build_esdf
 from primtrack.primitives import (LatticeConfig, build_library, horizon,
                                   spherical_endpoint)
@@ -38,6 +38,12 @@ def _grid(rng):
     return build_esdf(PointCloud(pts), (-2, -5, -2), (48, 40, 28), 0.25)
 
 
+def _d(d_F, d_P):
+    """Boundary arrays (N, 3, 6) from start states and one or N end states."""
+    d_P = np.asarray(d_P, float).reshape(-1, 3, 3)
+    return np.concatenate([np.broadcast_to(d_F, d_P.shape), d_P], axis=2)
+
+
 # -- smoothness ------------------------------------------------------------------
 
 def test_jerk_gram_matrix_matches_quadrature():
@@ -59,19 +65,19 @@ def test_smoothness_matches_sampled_jerk_quadrature():
         d_F = rng.normal(size=(3, 3))
         d_P = rng.normal(size=(3, 3)) * 2
         T = float(rng.uniform(0.5, 3.0))
-        J, _ = smoothness(d_F, d_P, T)
+        J, _ = smoothness(_d(d_F, d_P), T)
         traj = Trajectory.from_boundary(d_F, d_P, T)
         ref = _gauss_integral(
             lambda ts: np.array([np.sum(traj.sample(t, 3)**2) for t in ts]),
             0.0, T)
-        assert np.isclose(J, ref, rtol=1e-9)
+        assert np.isclose(J[0], ref, rtol=1e-9)
 
 
 def test_smoothness_zero_for_straight_constant_velocity():
     d_F = np.array([[0.0, 1.0, 0.0]] * 3)
     d_P = np.array([[2.0, 1.0, 0.0]] * 3)  # jerk-free linear motion
-    J, g = smoothness(d_F, d_P, 2.0)
-    assert abs(J) < 1e-9
+    J, g = smoothness(_d(d_F, d_P), 2.0)
+    assert abs(J[0]) < 1e-9
     assert np.allclose(g, 0.0, atol=1e-9)
 
 
@@ -79,11 +85,13 @@ def test_smoothness_batched_matches_loop():
     rng = np.random.default_rng(1)
     d_F = rng.normal(size=(3, 3))
     d_P = rng.normal(size=(5, 3, 3))
-    J, g = smoothness(d_F, d_P, 1.25)
+    J, g = smoothness(_d(d_F, d_P), 1.25)
     assert J.shape == (5,) and g.shape == (5, 3, 3)
-    for k in range(5):
-        Jk, gk = smoothness(d_F, d_P[k], 1.25)
-        assert np.isclose(J[k], Jk) and np.allclose(g[k], gk)
+    for k in range(5):  # one-row batches: no coupling between rows
+        Jk, gk = smoothness(_d(d_F, d_P[k]), 1.25)
+        assert np.isclose(J[k], Jk[0]) and np.allclose(g[k], gk[0])
+    J_free, g_free = smoothness(_d(d_F, d_P), 1.25, with_grad=False)
+    assert np.array_equal(J_free, J) and g_free is None
 
 
 # -- collision -------------------------------------------------------------------
@@ -98,34 +106,49 @@ def test_collision_matches_brute_force_sum():
                                rng.normal(size=3), rng.normal(size=3)])
         d_P = np.column_stack([rng.uniform([2, -3, 0], [7, 3, 3]),
                                rng.normal(size=3), rng.normal(size=3)])
-        J, _ = collision(d_F, d_P, 1.25, grid, pot)
+        J, _ = collision(_d(d_F, d_P), 1.25, grid, pot)
         traj = Trajectory.from_boundary(d_F, d_P, 1.25)
         ref = 0.0
         for k in range(21):
             d, _ = grid.query(traj.sample(k * dt))
             if d < pot.cutoff:
                 ref += np.exp((pot.d_safe - d) / pot.falloff) * dt
-        assert np.isclose(J, ref, rtol=1e-9)
+        assert np.isclose(J[0], ref, rtol=1e-9)
 
 
 def test_potential_value_and_slope():
+    """The potential as collision applies it, on a hover at the origin in
+    the field d(x) = x + level: 21 equal samples, a slope that matches a
+    central difference, and neither a value nor a slope past the cutoff."""
     pot = PotentialParams()
-    d = np.array([0.1, 1.0, 1.99, 2.5])
-    c, s = pot.value_and_slope(d)
-    ref = np.exp(-(d - pot.d_safe) / pot.falloff)
-    ref[d >= pot.cutoff] = 0.0
-    assert np.allclose(c, ref)
-    assert np.allclose(s[:3], -c[:3] / pot.falloff) and s[3] == 0.0
+    T, h = 1.0, 1e-4
+    centers = -3.75 + 0.5 * np.arange(16)
+    for level in (0.1, 1.0, 1.99, 2.5):
+        field = np.broadcast_to((centers + level)[:, None, None], (16, 4, 4))
+        grid = EsdfGrid((-4.0, -1.0, -1.0), 0.5, field, 10.0)
+        hover, step = np.zeros((3, 3)), np.zeros((3, 3))
+        step[0, 0] = h  # the end position, moved along x
+        J, g = collision(_d(hover, hover), T, grid, pot)
+        fd = (collision(_d(hover, step), T, grid, pot)[0]
+              - collision(_d(hover, -step), T, grid, pot)[0]) / (2 * h)
+        if level < pot.cutoff:
+            c = np.exp((pot.d_safe - level) / pot.falloff)
+            assert np.isclose(J[0], 21 * c * T / 20, rtol=1e-12)
+            assert g[0, 0, 0] < 0 and np.isclose(g[0, 0, 0], fd[0], rtol=1e-6)
+        else:
+            assert J[0] == 0.0 and np.all(g == 0.0)
 
 
 # -- goal ------------------------------------------------------------------------
 
 def test_goal_tracking_quadratic():
-    p = np.array([1.0, 2.0, 3.0])
+    p = np.array([[1.0, 2.0, 3.0], [4.0, 6.0, 3.0]])
     g = np.array([4.0, 6.0, 3.0])
     J, grad = goal(p, g)
-    assert np.isclose(J, 25.0)
+    assert np.allclose(J, [25.0, 0.0])
     assert np.allclose(grad, 2 * (p - g))
+    J_free, grad_free = goal(p, g, with_grad=False)
+    assert np.array_equal(J_free, J) and grad_free is None
 
 
 # -- chain rule --------------------------------------------------------------------
@@ -217,10 +240,11 @@ def test_chain_rule_matches_finite_differences_free_space():
             < 1e-6
 
 
-def test_decode_raw_batch_zero_offsets_hit_anchors():
+def test_engine_decode_zero_offsets_hit_anchors():
     cfg = LatticeConfig()
-    raw = np.zeros((cfg.n_cells, 9))
-    d_P = decode_raw_batch(raw, cfg, 1.0, 8.0, 6.0)
+    eng = CostEngine(_FREE_SPACE, np.zeros((3, 3)), cfg, 1.0, 8.0, 6.0,
+                     goal_p=[10.0, 0.0, 0.0])
+    d_P = eng.decode(np.zeros((cfg.n_cells, 9)))
     assert np.allclose(d_P[:, :, 0], spherical_endpoint(*build_library(cfg),
                                                         cfg.r), atol=1e-12)
     assert np.allclose(d_P[:, :, 1:], 0.0)
@@ -229,32 +253,66 @@ def test_decode_raw_batch_zero_offsets_hit_anchors():
 
 # -- engine consistency ---------------------------------------------------------
 
-def test_engine_matches_modular_functions():
+def _unit_paths(T):
+    """Trajectories from a zero start to the end state with one column of
+    d_P set to 1 on every axis: d x(t) / d d_P[:, c] for c = pos, vel, acc."""
+    out = []
+    for c in range(3):
+        e = np.zeros((3, 3))
+        e[:, c] = 1.0
+        out.append(Trajectory.from_boundary(np.zeros((3, 3)), e, T))
+    return out
+
+
+def test_engine_matches_quadrature_and_field_oracles():
+    """J_s against a quadrature of the sampled jerk, J_c against per-sample
+    field queries, J_g against the end point; the gradient against the same
+    oracles' end-state gradients through the Jacobian chain rule."""
     rng = np.random.default_rng(6)
     grid = _grid(rng)
     eng = _engine(grid, rng, use_kernel=False)
     raw = rng.normal(size=(15, 9)) * 0.6
     total, parts, grad = eng.evaluate(raw)
     d_P = eng.decode(raw)
-    J_s, g_s = smoothness(eng.d_F, d_P, eng.horizon_T)
-    J_c, g_c = collision(eng.d_F, d_P, eng.horizon_T, grid, eng.potential)
-    J_g, g_g = goal(d_P[:, :, 0], eng.goal_p)
+    T, pot, dt = eng.horizon_T, eng.potential, eng.horizon_T / 20
+    units = _unit_paths(T)
+    J = np.zeros((3, 15))
+    g_dP = np.zeros((15, 3, 3))
+    for n in range(15):
+        traj = Trajectory.from_boundary(eng.d_F, d_P[n], T)
+        J[0, n] = _gauss_integral(
+            lambda ts: np.array([np.sum(traj.sample(t, 3)**2) for t in ts]),
+            0.0, T)
+        for c, u in enumerate(units):  # d/dd_P of the squared jerk integral
+            g_dP[n, :, c] += eng.weights.lambda_s * 2 * np.array([
+                _gauss_integral(lambda ts: np.array(
+                    [traj.sample(t, 3)[a] * u.sample(t, 3)[a] for t in ts]),
+                    0.0, T) for a in range(3)])
+        for k in range(21):
+            dist, dgrad = grid.query(traj.sample(k * dt))
+            if dist < pot.cutoff:
+                cost = np.exp((pot.d_safe - dist) / pot.falloff) * dt
+                J[1, n] += cost
+                for c, u in enumerate(units):
+                    g_dP[n, :, c] += eng.weights.lambda_c * (
+                        -cost / pot.falloff * dgrad * u.sample(k * dt)[0])
+        diff = d_P[n, :, 0] - eng.goal_p
+        J[2, n] = diff @ diff
+        g_dP[n, :, 0] += eng.weights.lambda_g * 2 * diff
+    for key, ref in zip(("J_s", "J_c", "J_g"), J):
+        assert np.allclose(parts[key], ref, rtol=1e-9, atol=1e-12), key
     w = eng.weights
-    assert np.allclose(parts["J_s"], J_s, rtol=1e-12)
-    assert np.allclose(parts["J_c"], J_c, rtol=1e-12)
-    assert np.allclose(parts["J_g"], J_g, rtol=1e-12)
-    assert np.allclose(total,
-                       w.lambda_s * J_s + w.lambda_c * J_c + w.lambda_g * J_g,
-                       rtol=1e-12)
-    grad_dP = w.lambda_s * g_s + w.lambda_c * g_c
-    grad_dP[:, :, 0] += w.lambda_g * g_g
-    ref = _oracle_chain_rule(grad_dP, raw, eng.thetas, eng.phis, eng.cfg,
+    assert np.allclose(total, w.lambda_s * J[0] + w.lambda_c * J[1]
+                       + w.lambda_g * J[2], rtol=1e-9)
+    ref = _oracle_chain_rule(g_dP, raw, eng.thetas, eng.phis, eng.cfg,
                              eng.alpha, eng.v_max, eng.a_max, eng.rotation)
-    assert np.allclose(grad, ref, rtol=1e-10, atol=1e-12)
+    assert np.allclose(grad, ref, rtol=1e-7, atol=1e-9)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_kernel_matches_numpy_path():
+def test_kernel_matches_numpy_path(monkeypatch):
+    """The kernel's loop against the numpy path; without numba it runs as
+    plain Python."""
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
     rng = np.random.default_rng(7)
     grid = _grid(rng)
     for mode in ("tracking", "navigation"):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primtrack.environment import (EsdfGrid, ForestSpec, PointCloud,
-                                   build_esdf, generate_forest, load_cloud,
-                                   load_esdf, raycast, save_cloud, save_esdf,
-                                   trunk_positions)
+from primtrack.environment import (_SPAWN_CLEAR, EsdfGrid, ForestSpec,
+                                   PointCloud, build_esdf, generate_forest,
+                                   load_cloud, load_esdf, raycast, save_cloud,
+                                   save_esdf, trunk_positions)
 
 
 def _brute_force(points, origin, dims, res, d_trunc=4.0):
@@ -46,7 +46,7 @@ def test_forest_clear_points_respected():
     xy = trunk_positions(spec, clear)
     for cp in clear:
         assert np.all(np.linalg.norm(xy - np.asarray(cp), axis=1)
-                      > spec.spawn_clear_radius)
+                      > _SPAWN_CLEAR)
 
 
 def test_forest_min_spacing():

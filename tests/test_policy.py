@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primtrack.camera import CameraModel, anchor_to_cell
+from primtrack.camera import DS, CameraModel, anchor_to_cell
 from primtrack.costs import (CostEngine, CostWeights, chain_rule_batch,
                              collision, smooth_l1, smooth_l1_grad,
                              smoothness)
@@ -328,14 +328,14 @@ def test_frame_loss_grad_matches_finite_differences():
 
 
 def _composable_frame_loss(y, engine, cfg, assignment, mode):
-    """Trajectory part of the frame loss from the composable cost functions
-    (a separate field query per term): (loss, dL/dy[:, :10])."""
+    """Trajectory part of the frame loss, assembled here from the cost term
+    functions and the chain rule: (loss, dL/dy[:, :10])."""
     w = engine.weights
     raw = y[:, :9]
     d_P = engine.decode(raw)
-    J_s, g_s = smoothness(engine.d_F, d_P, engine.horizon_T)
-    J_c, g_c = collision(engine.d_F, d_P, engine.horizon_T, engine.grid,
-                         engine.potential)
+    d = np.concatenate([np.broadcast_to(engine.d_F, d_P.shape), d_P], axis=2)
+    J_s, g_s = smoothness(d, engine.horizon_T)
+    J_c, g_c = collision(d, engine.horizon_T, engine.grid, engine.potential)
     diff = d_P[:, :, 0] - engine.goal_p
     J_g, g_goal = np.sum(diff * diff, axis=1), 2.0 * diff
     if mode == "navigation":
@@ -372,8 +372,8 @@ def _sigmoid(x):
 def _decoded_pixel(y_k, cell, cam):
     """Pixel of a cell's target detection: sigmoid offsets within the cell."""
     col, row = cell
-    return ((_sigmoid(y_k[11]) + col) * cam.ds,
-            (_sigmoid(y_k[12]) + row) * cam.ds)
+    return ((_sigmoid(y_k[11]) + col) * DS,
+            (_sigmoid(y_k[12]) + row) * DS)
 
 
 def _detection_loss(y_k, label, target_cam, cam, cell, weights):
@@ -433,14 +433,14 @@ def test_decode_target_pixel_inside_cell():
     cam, target, eng, asg = _tracking_frame(cfg)
     for logits in ((0.3, -2.0), (-8.0, 8.0), (8.0, -8.0)):
         u, v = _decoded_pixel(np.r_[np.zeros(11), logits, 3.0], (2, 1), cam)
-        assert 2 * cam.ds < u < 3 * cam.ds
-        assert 1 * cam.ds < v < 2 * cam.ds
+        assert 2 * DS < u < 3 * DS
+        assert 1 * DS < v < 2 * DS
     # logits and depth that decode to the target's own pixel, inside the
     # positive cell: the loss keeps only the objectness terms at p = 1/2
     k = asg.labels.index("positive")
     col, row = _cell(k, cfg)
     u, v, depth = cam.project_world(target)
-    frac = np.array([u / cam.ds - col, v / cam.ds - row])
+    frac = np.array([u / DS - col, v / DS - row])
     assert np.all((frac > 0.0) & (frac < 1.0))
     y = np.zeros((15, 14))
     y[k, 11:13] = np.log(frac / (1.0 - frac))

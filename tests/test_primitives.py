@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from primtrack.costs import decode_raw_batch
+from primtrack.costs import CostEngine
 from primtrack.primitives import (LatticeConfig, build_library, horizon,
                                   spherical_endpoint)
+from primtrack.simulator import empty_arena
+
+_FREE_SPACE = empty_arena().grid
 
 
 def test_spherical_endpoint_known_points():
@@ -57,8 +60,6 @@ def test_lattice_validation():
         LatticeConfig(fov_h=0.0)
     with pytest.raises(ValueError):
         LatticeConfig(r=-1.0)
-    with pytest.raises(ValueError):
-        LatticeConfig(d_phi=1e-6)  # below the half-pitch: cells cannot overlap
 
 
 # random lattices: grid counts 1..7, fields of view in degrees
@@ -85,7 +86,9 @@ def test_build_library_layout(cfg):
 
 
 def _decode(raw, cfg, alpha, v_max=8.0, a_max=6.0):
-    return decode_raw_batch(raw, cfg, alpha, v_max, a_max)
+    """World end states of raw rows, decoded by an engine at the origin."""
+    return CostEngine(_FREE_SPACE, np.zeros((3, 3)), cfg, alpha, v_max, a_max,
+                      goal_p=[10.0, 0.0, 0.0]).decode(raw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,6 +117,8 @@ def test_decode_derivatives_bounds_and_scaling(raw, alpha):
     assert np.allclose(d_P[:, :, 1], np.tanh(raw[:, 3:6]) * alpha * v_max)
     with pytest.raises(ValueError):
         _decode(raw, cfg, 0.0, v_max, a_max)
+    with pytest.raises(ValueError):
+        _decode(raw, cfg, alpha, v_max, 0.0)
 
 
 def test_horizon_formula():
