@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .primitives import LatticeConfig
+from .primitives import LatticeConfig, build_library, spherical_endpoint
 
 __all__ = ["CameraModel", "anchor_to_cell", "cell_to_anchor"]
 
@@ -47,11 +47,24 @@ class CameraModel:
     @classmethod
     def for_lattice(cls, cfg: LatticeConfig) -> "CameraModel":
         """Camera matching a lattice at the origin: the lattice's fields of
-        view, and one DS x DS pixel cell per anchor."""
+        view, and one DS x DS pixel cell per anchor. Anchors are equiangular
+        and cells equal in pixels, so a wide or fine lattice can put an
+        anchor endpoint outside its own cell; that raises a ValueError."""
         width, height = cfg.m_phi * DS, cfg.m_theta * DS
         fx = (width / 2) / np.tan(cfg.fov_h / 2)
         fy = (height / 2) / np.tan(cfg.fov_v / 2)
-        return cls(fx, fy, width / 2, height / 2, width, height)
+        cam = cls(fx, fy, width / 2, height / 2, width, height)
+        u, v, _ = cam.project_camera(
+            spherical_endpoint(*build_library(cfg), cfg.r))
+        col, row = anchor_to_cell(*np.divmod(np.arange(cfg.n_cells),
+                                             cfg.m_theta), cfg)
+        stray = np.flatnonzero((np.floor(u / DS) != col)
+                               | (np.floor(v / DS) != row))
+        if len(stray):
+            raise ValueError(f"fov_h: anchors {stray.tolist()} project "
+                             "outside their own image cells; narrow the "
+                             "field of view or use fewer cells")
+        return cam
 
     def with_pose(self, rotation, position) -> "CameraModel":
         return replace(self, rotation=np.asarray(rotation, float),

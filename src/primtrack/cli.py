@@ -2,8 +2,9 @@
 
 Subcommands cover environment generation, closed-loop tracking/navigation
 batches, head training with dataset generation, and gradient checking
-against finite differences. Experiment failures (failed episodes) exit zero;
-only process-level errors exit nonzero.
+against finite differences. The batches fly the refiner, or the trained
+head when `--head` names a checkpoint. Experiment failures (failed
+episodes) exit zero; only process-level errors exit nonzero.
 """
 
 from __future__ import annotations
@@ -68,14 +69,12 @@ def cmd_generate_env(cfg: RunConfig, seed: int, out: Path) -> int:
 
 # -- closed-loop batches -------------------------------------------------------
 
-def _run_batch(cfg: RunConfig, mode: str, out: Path, backend: str,
-               head_path: str | None, seeds: list[int]) -> int:
+def _run_batch(cfg: RunConfig, mode: str, out: Path, head_path: str | None,
+               seeds: list[int]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     p = cfg.sim_params()
     s = cfg["simulator"]
     head = load_head(head_path) if head_path else None
-    if backend == "head" and head is None:
-        raise SystemExit("head backend requires --head CHECKPOINT")
     far = 4.0 if mode == "tracking" else s["goal_distance"]
     rows = []
     for seed in seeds:
@@ -85,14 +84,12 @@ def _run_batch(cfg: RunConfig, mode: str, out: Path, backend: str,
         if mode == "tracking":
             m = run_tracking_episode(arena, p, seed, s["evader_speed"],
                                      course_length=s["course_length"],
-                                     backend=backend, head=head,
-                                     log_path=log_path,
+                                     head=head, log_path=log_path,
                                      switches=s["switches"])
         else:
             m = run_navigation_episode(arena, p, seed,
                                        goal_distance=s["goal_distance"],
-                                       backend=backend, head=head,
-                                       log_path=log_path)
+                                       head=head, log_path=log_path)
         rows.append(_metrics_row(seed, m))
         print(f"seed {seed}: success={m.success} ({m.failure_class}) "
               f"latency {m.mean_latency_ms:.2f} ms")
@@ -215,7 +212,7 @@ def grad_check_report(seed: int = 0, n_per_category: int = 200):
                                rng.normal(size=3)])
         engine = CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0,
                             goal_p=position + R @ np.array([6.0, 0.5, 0.0]),
-                            rotation=R, position=position, use_kernel=False)
+                            rotation=R, use_kernel=False)
         raw = rng.normal(size=(cfg.n_cells, 9)) * 0.5
         total, _, ga = engine.evaluate(raw)
         d = engine.decode(raw)
@@ -380,8 +377,7 @@ def build_training_frames(cfg: RunConfig, records: list[dict],
         engine = CostEngine(rec["grid"],
                             np.column_stack([position, v_w, a_w]), lattice,
                             alpha, v_max, a_max, goal_p, mode=mode,
-                            weights=weights, potential=pot, rotation=R,
-                            position=position)
+                            weights=weights, potential=pot, rotation=R)
         assignment = assign_samples(target, cam, lattice, rec["grid"]) \
             if mode == "tracking" else None
         frames.append({"features": feats, "engine": engine, "cfg": lattice,
@@ -439,8 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("run-tracking", "run-nav"):
         sp = sub.add_parser(name, help=f"{name.split('-')[1]} episode batch")
         common(sp)
-        sp.add_argument("--backend", choices=("refiner", "head"))
-        sp.add_argument("--head", help="trained head checkpoint")
+        sp.add_argument("--head", help="trained head checkpoint to fly in "
+                        "place of the refiner")
     sp = sub.add_parser("grad-check", help="finite-difference gradient audit")
     common(sp)
     sp = sub.add_parser("make-dataset", help="generate training frames")
@@ -466,16 +462,13 @@ def main(argv=None) -> int:
     out = Path(args.out)
     seeds = cfg.seeds if args.seed is None else [args.seed]
     seed = seeds[0]
-    backend = getattr(args, "backend", None) or cfg["run"]["backend"]
     try:
         if args.command == "generate-env":
             return cmd_generate_env(cfg, seed, out)
         if args.command == "run-tracking":
-            return _run_batch(cfg, "tracking", out, backend,
-                              getattr(args, "head", None), seeds)
+            return _run_batch(cfg, "tracking", out, args.head, seeds)
         if args.command == "run-nav":
-            return _run_batch(cfg, "navigation", out, backend,
-                              getattr(args, "head", None), seeds)
+            return _run_batch(cfg, "navigation", out, args.head, seeds)
         if args.command == "grad-check":
             return cmd_grad_check(cfg, seed, out)
         if args.command == "make-dataset":

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 
+from .camera import CameraModel
 from .costs import CostWeights, PotentialParams
 from .policy import StateSampler
 from .primitives import LatticeConfig
@@ -22,15 +23,13 @@ __all__ = ["RunConfig", "example_text"]
 _NP = "tuned default"
 _TRAIN_ONLY = "training only: flights do not read it"
 # the words a key accepts, which its help lists
-_CHOICES = {("run", "backend"): ("refiner", "head"),
-            ("train", "optimizer"): ("sgd", "momentum", "adam"),
+_CHOICES = {("train", "optimizer"): ("sgd", "momentum", "adam"),
             ("train", "mode"): ("navigation", "tracking")}
 
 # (default, help) per key; a trailing "*" in help marks tuned defaults
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seeds": ("0 1 2 3 4 5 6 7 8 9", "episode seeds, whitespace-separated"),
-        "backend": ("refiner", " | ".join(_CHOICES["run", "backend"])),
     },
     "lattice": {
         "m_phi": (5, "horizontal grid cells"),
@@ -138,7 +137,8 @@ _LATTICE_KEYS = {"m_phi": "m_phi", "m_theta": "m_theta",
 @dataclass
 class RunConfig:
     """Validated configuration values, one dict per block, and what is read
-    from them once: the seeds, the hidden widths and the lattice."""
+    from them once: the seeds, the hidden widths and the lattice, checked
+    against its camera."""
 
     values: dict = field(default_factory=dict)
     seeds: list[int] = field(init=False)
@@ -169,6 +169,7 @@ class RunConfig:
             self.lattice = LatticeConfig(
                 c["m_phi"], c["m_theta"], math.radians(c["fov_h_deg"]),
                 math.radians(c["fov_v_deg"]), c["radius"])
+            CameraModel.for_lattice(self.lattice)
         except ValueError as e:
             name, _, reason = str(e).partition(": ")
             raise ValueError(f"[lattice] {_LATTICE_KEYS[name]}: {reason}") \

@@ -242,8 +242,9 @@ class CostEngine:
 
     Holds everything that is constant across candidates of one planning
     cycle: the start state, field, goal, and decode parameters. The anchors
-    (the lattice of cfg), the horizon T = horizon(cfg, alpha, v_max) and the
-    potential's sample step T / 20 are derived from them.
+    (the lattice of cfg), the horizon T = horizon(cfg, alpha, v_max), the
+    potential's sample step T / 20 and the camera position (the start
+    position, d_F[:, 0]) are derived from them.
     """
 
     grid: EsdfGrid
@@ -257,16 +258,15 @@ class CostEngine:
     weights: CostWeights = field(default_factory=CostWeights)
     potential: PotentialParams = field(default_factory=PotentialParams)
     rotation: np.ndarray = None  # type: ignore[assignment]  # world-from-camera
-    position: np.ndarray = None  # type: ignore[assignment]
     use_kernel: bool = True  # compiled hot loop when numba is present
+    position: np.ndarray = field(init=False)  # camera origin: start position
     horizon_T: float = field(init=False)
 
     def __post_init__(self):
         self.d_F = np.asarray(self.d_F, float)
         if self.rotation is None:
             self.rotation = np.eye(3)
-        if self.position is None:
-            self.position = np.zeros(3)
+        self.position = self.d_F[:, 0].copy()
         self.goal_p = np.asarray(self.goal_p, float)
         if self.mode == "navigation":
             delta = self.goal_p - self.position

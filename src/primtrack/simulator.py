@@ -556,17 +556,15 @@ def _braking_endpoint(state: QuadState, p: SimParams) -> np.ndarray:
 class _Planner:
     """One planning cycle: decode anchors, optimize or infer, pick, check.
 
-    `emergency` tells whether the latest cycle replaced the chosen
-    trajectory with a brake; the next cycle sets it afresh.
+    The refiner optimizes the anchors, or with a head one forward pass
+    predicts them; either way the cycle flies the finite row of least
+    realized cost. `emergency` tells whether the latest cycle replaced the
+    chosen trajectory with a brake; the next cycle sets it afresh.
     """
 
-    def __init__(self, arena: Arena, p: SimParams, backend: str,
-                 head: PolicyHead | None):
-        if backend not in ("refiner", "head"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "head" and head is None:
-            raise ValueError("head backend requires a PolicyHead")
-        self.arena, self.p, self.backend, self.head = arena, p, backend, head
+    def __init__(self, arena: Arena, p: SimParams,
+                 head: PolicyHead | None = None):
+        self.arena, self.p, self.head = arena, p, head
         self.cam0 = CameraModel.for_lattice(p.lattice)
         self.emergency = False
         self._warm = None  # previous cycle's raw solution
@@ -586,28 +584,25 @@ class _Planner:
         d_F = np.column_stack([state.position, state.velocity, acc])
         engine = CostEngine(self.arena.grid, d_F, p.lattice, p.alpha, p.v_max,
                             p.a_max, np.asarray(goal_p, float), mode=mode,
-                            weights=p.weights, rotation=R_cam,
-                            position=state.position)
+                            weights=p.weights, rotation=R_cam)
         T = engine.horizon_T
-        if self.backend == "refiner":
+        if self.head is None:
             raw, total, _ = refine(engine, steps=p.refine_steps,
                                    raw0=self._warm)
             self._warm = raw
-            scores = total
         else:
             cam = self.cam0.with_pose(R_cam, state.position)
             v_n = R_cam.T @ state.velocity / (p.alpha * p.v_max)
             a_n = R_cam.T @ acc / (p.alpha ** 2 * p.a_max)
             feats = compute_features(self.arena.grid, cam, p.lattice, v_n,
                                      a_n, target_world=target_world)
-            y = self.head.forward(feats.values)
-            raw, scores = y[:, :9], y[:, 9]
+            raw = self.head.forward(feats.values)[:, :9]
             total, _, _ = engine.evaluate(raw, with_grad=False)
         # a NaN marks an infeasible candidate: choose among the finite rows,
         # and brake when there is none
-        finite = np.isfinite(scores) & np.isfinite(total)
+        finite = np.isfinite(total)
         if finite.any():
-            chosen = int(np.argmin(np.where(finite, scores, np.inf)))
+            chosen = int(np.argmin(np.where(finite, total, np.inf)))
             cost = float(total[chosen])
             d_P = engine.decode(raw)[chosen]
             traj = Trajectory.from_boundary(d_F, d_P, T)
@@ -708,9 +703,7 @@ def _fly(arena: Arena, p: SimParams, planner: _Planner, state: QuadState,
 
 def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
                          evader_speed: float, course_length: float = 40.0,
-                         backend: str = "refiner",
-                         head: PolicyHead | None = None,
-                         log_path=None,
+                         head: PolicyHead | None = None, log_path=None,
                          switches: int = 1) -> EpisodeMetrics:
     """Closed-loop pursuit of a scripted evader through the arena.
 
@@ -732,7 +725,7 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
     yaw0 = float(np.arctan2(_TARGET_START[1] - _START[1],
                             _TARGET_START[0] - _START[0]))
     state = QuadState.hover([*_START, p.flight_height], yaw0, p.mass)
-    planner = _Planner(arena, p, backend, head)
+    planner = _Planner(arena, p, head)
     planner_dt = 1.0 / p.planner_rate
     est: TargetEstimate | None = None
     lost_time = 0.0
@@ -790,7 +783,7 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
             float(np.linalg.norm((tgt_true - state.position)[:2])))
         log.detected.append(det is not None)
         return goal_p, yaw_cmd, "tracking", \
-            est.position if backend == "head" else None
+            est.position if head is not None else None
 
     def finished(state, t):  # a 1.5 s grace period after the evader's goal
         nonlocal grace
@@ -812,7 +805,6 @@ def run_tracking_episode(arena: Arena, params: SimParams, seed: int,
 
 def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
                            goal_distance: float = 40.0,
-                           backend: str = "refiner",
                            head: PolicyHead | None = None,
                            log_path=None) -> EpisodeMetrics:
     """Closed-loop flight to a fixed goal straight ahead of the start.
@@ -835,7 +827,7 @@ def run_navigation_episode(arena: Arena, params: SimParams, seed: int,
         return compute_metrics(EpisodeLog(p.control_dt), arena.grid, False,
                                "target_missed", distance(state),
                                flags=("goal_unreachable",))
-    planner = _Planner(arena, p, backend, head)
+    planner = _Planner(arena, p, head)
     planner_dt = 1.0 / p.planner_rate
 
     def cycle(state, t, yaw_cmd, log):

@@ -17,7 +17,7 @@ from primtrack.config import RunConfig
 from primtrack.control import GRAVITY, Command, ObserverState, \
     flatness_commands, observer_step
 from primtrack.environment import PointCloud, build_esdf
-from primtrack.policy import refine
+from primtrack.policy import PolicyHead, refine
 from primtrack.simulator import (EpisodeLog, QuadState, SimParams,
                                  compute_metrics, empty_arena,
                                  make_forest_arena, run_navigation_episode,
@@ -318,3 +318,38 @@ def test_trained_head_costs_near_refiner(trained_head):
         ref_total += float(np.nanmin(ref_cost))
     ratio = head_total / ref_total
     assert ratio <= 2.0, f"held-out cost ratio {ratio:.3f}"
+
+
+# -- 13: the learned head flies -----------------------------------------------------
+
+def test_trained_head_reaches_the_goal(tmp_path, monkeypatch):
+    # trained at the flight speed: the decode scales and the horizon follow
+    # [simulator] v_max; in flight the head's rows are picked by realized cost
+    t0 = perf_counter()
+    cfg = RunConfig({"train": {"frames": 50, "optimizer": "adam"},
+                     "simulator": {"v_max": 4.0}})
+    make_dataset(cfg, tmp_path / "frames", seed=0)
+    frames = build_training_frames(cfg, load_frames(tmp_path / "frames"),
+                                   seed=0)
+    head, _ = train_head(cfg, frames, epochs=400, seed=0)
+    elapsed = perf_counter() - t0
+    assert elapsed < 60.0, f"training took {elapsed:.1f} s"
+    calls, forward = [], PolicyHead.forward
+    monkeypatch.setattr(PolicyHead, "forward",
+                        lambda self, x: calls.append(1) or forward(self, x))
+    params = SimParams(v_max=4.0)
+    wins = 0
+    for seed in range(10):
+        log = tmp_path / f"episode_{seed}.csv"
+        calls.clear()
+        m = run_navigation_episode(_nav_arena(seed), params, seed,
+                                   goal_distance=40.0, head=head,
+                                   log_path=log)
+        wins += m.success
+        pz = np.loadtxt(log, delimiter=",", skiprows=1, usecols=3)
+        # the head plans every cycle: one per 7 plant steps at 30 Hz
+        assert len(calls) >= len(pz) // 7, f"seed {seed}: head not flown"
+        assert pz.min() >= 0.05, f"seed {seed}: ground strike"
+        assert m.mean_latency_ms < 5.0, \
+            f"seed {seed}: mean cycle {m.mean_latency_ms:.2f} ms"
+    assert wins >= 8, f"4 m/s with the head: {wins}/10"

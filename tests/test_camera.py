@@ -79,27 +79,38 @@ def test_anchor_cell_mirroring_round_trip():
     assert len(seen) == cfg.n_cells
 
 
-# Grid counts 1..7; horizontal fields of view up to 80 degrees, vertical
-# up to 90. Anchors are equiangular and image cells equal in pixels: a point
-# at azimuth phi lands 1/cos(phi) farther from the image's horizontal
-# midline than its polar angle alone gives, so from about 88 degrees wide
-# with 7 rows an outer anchor projects into the neighbouring row.
-@settings(max_examples=100, deadline=None)
+# Grid counts 1..7, fields of view up to 170 degrees wide and 120 high.
+# Anchors are equiangular and image cells equal in pixels: a point at
+# azimuth phi lands 1/cos(phi) farther from the image's horizontal midline
+# than its polar angle alone gives, so on wide lattices with several rows
+# an outer anchor leaves its cell, and for_lattice must reject the lattice.
+@settings(max_examples=150, deadline=None)
 @given(m_phi=st.integers(1, 7), m_theta=st.integers(1, 7),
-       fov_h=st.floats(20.0, 80.0), fov_v=st.floats(15.0, 90.0))
+       fov_h=st.floats(20.0, 170.0), fov_v=st.floats(15.0, 120.0))
 @example(m_phi=5, m_theta=3, fov_h=90.0,
          fov_v=np.rad2deg(LatticeConfig().fov_v))  # the default lattice
+@example(m_phi=7, m_theta=7, fov_h=100.0, fov_v=60.0)  # rejected
 def test_anchor_endpoints_project_into_their_cells(m_phi, m_theta, fov_h,
                                                    fov_v):
     cfg = LatticeConfig(m_phi=m_phi, m_theta=m_theta,
                         fov_h=np.deg2rad(fov_h), fov_v=np.deg2rad(fov_v))
-    cam = CameraModel.for_lattice(cfg)
+    # the lattice's pinhole camera, built without the check
+    w, h = m_phi * DS, m_theta * DS
+    cam = CameraModel(w / 2 / np.tan(cfg.fov_h / 2),
+                      h / 2 / np.tan(cfg.fov_v / 2), w / 2, h / 2, w, h)
     thetas, phis = build_library(cfg)
-    u, v, _ = cam.project_camera(spherical_endpoint(thetas, phis, cfg.r))
+    p_c = spherical_endpoint(thetas, phis, cfg.r)
+    u, v, _ = cam.project_camera(p_c)
     col, row = cam.pixel_to_cell(u, v)
-    for k in range(cfg.n_cells):
-        i, j = divmod(k, cfg.m_theta)
-        assert (int(col[k]), int(row[k])) == anchor_to_cell(i, j, cfg)
+    own = [bool(cam.in_frustum(p_c[k])) and (int(col[k]), int(row[k]))
+           == anchor_to_cell(*divmod(k, cfg.m_theta), cfg)
+           for k in range(cfg.n_cells)]
+    try:
+        CameraModel.for_lattice(cfg)
+    except ValueError as e:
+        assert str(e).startswith("fov_h: ") and not all(own)
+    else:
+        assert all(own)
 
 
 def test_pixel_to_cell_clipping():

@@ -37,7 +37,7 @@ def test_misspelt_train_mode_exits_2(tmp_path, capsys):
     ("run", "seeds", "0 x"), ("run", "seeds", ""), ("run", "seeds", "-1"),
     ("train", "hidden", "64 x"), ("train", "hidden", "64 0"),
     ("train", "optimizer", "adamm"),
-    ("run", "backend", "heda"), ("lattice", "m_phi", "0"),
+    ("lattice", "m_phi", "0"), ("lattice", "fov_h_deg", "130"),
     ("train", "epochs", "many")])
 def test_bad_config_value_exits_2_naming_the_key(section, key, value,
                                                  tmp_path, capsys):
@@ -187,6 +187,26 @@ def test_train_cli_writes_checkpoint_and_resume(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
                  "--out", str(run2), "--resume", str(run1 / "head.bin")]) == 0
     assert (run2 / "head.bin").exists()
+
+
+def test_run_nav_flies_a_trained_head(tmp_path, monkeypatch, capsys):
+    from primtrack.policy import PolicyHead
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[run]\nseeds = 0\n[simulator]\nmax_time = 0.5\n"
+                        "[train]\nframes = 6\nepochs = 2\nobstacles = 2\n")
+    data, train, nav = tmp_path / "data", tmp_path / "train", tmp_path / "nav"
+    assert main(["make-dataset", "--config", str(cfg_path),
+                 "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                 "--out", str(train)]) == 0
+    calls, forward = [], PolicyHead.forward
+    monkeypatch.setattr(PolicyHead, "forward",
+                        lambda self, x: calls.append(1) or forward(self, x))
+    assert main(["run-nav", "--config", str(cfg_path), "--out", str(nav),
+                 "--head", str(train / "head.bin")]) == 0
+    metrics = (nav / "metrics.csv").read_text().splitlines()
+    assert metrics[0].startswith("seed,success") and len(metrics) == 2
+    assert len(calls) >= 10  # one forward pass per planning cycle
 
 
 def test_tracking_batch_smoke(tmp_path, capsys):

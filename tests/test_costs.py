@@ -30,7 +30,7 @@ def _engine(grid, rng, mode="tracking", use_kernel=True):
                            rng.normal(size=3), rng.normal(size=3)])
     return CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0,
                       goal_p=d_F[:, 0] + np.array([6.0, 0.5, 0.2]),
-                      mode=mode, position=d_F[:, 0], use_kernel=use_kernel)
+                      mode=mode, use_kernel=use_kernel)
 
 
 def _grid(rng):
@@ -348,8 +348,7 @@ def test_engine_navigation_rescales_goal():
     assert np.isclose(np.linalg.norm(eng.goal_p - eng.position), eng.cfg.r)
     with pytest.raises(ValueError):  # no direction to the goal
         CostEngine(_FREE_SPACE, eng.d_F, eng.cfg, 1.0, 8.0, 6.0,
-                   goal_p=eng.position, mode="navigation",
-                   position=eng.position)
+                   goal_p=eng.position, mode="navigation")
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,7 +362,7 @@ def test_engine_derives_horizon_anchors_and_sample_step(alpha, v_max, m_phi,
     flat = EsdfGrid(np.full(3, -20.0), 1.0, np.full((4, 4, 4), level), 4.0)
     d_F = np.column_stack([[0.0, 0.0, 1.5], np.zeros(3), np.zeros(3)])
     eng = CostEngine(flat, d_F, cfg, alpha, v_max, 6.0,
-                     goal_p=[10.0, 0.0, 1.5], position=d_F[:, 0])
+                     goal_p=[10.0, 0.0, 1.5])
     assert eng.horizon_T == horizon(cfg, alpha, v_max)
     thetas, phis = build_library(cfg)
     assert np.array_equal(eng.thetas, thetas)

@@ -25,7 +25,7 @@ def _engine(grid, goal, use_kernel=True, mode="tracking", weights=None):
     d_F = np.column_stack([np.array([0.0, 0.0, 1.5]),
                            np.array([1.0, 0.0, 0.0]), np.zeros(3)])
     return CostEngine(grid, d_F, cfg, 1.0, 8.0, 6.0, np.asarray(goal),
-                      mode=mode, position=d_F[:, 0], use_kernel=use_kernel,
+                      mode=mode, use_kernel=use_kernel,
                       weights=weights or CostWeights())
 
 

@@ -312,16 +312,6 @@ def test_episode_log_csv(tmp_path):
                                  "ax", "ay", "az", "yaw", "thrust"]
 
 
-def test_unknown_backend_rejected():
-    arena = empty_arena(area=(16.0, 20.0))
-    with pytest.raises(ValueError):
-        run_navigation_episode(arena, _fast_params(), seed=0,
-                               goal_distance=10.0, backend="bogus")
-    with pytest.raises(ValueError):
-        run_navigation_episode(arena, _fast_params(), seed=0,
-                               goal_distance=10.0, backend="head")
-
-
 # -- planning cycle ----------------------------------------------------------------
 
 def _wall_arena():
@@ -334,7 +324,7 @@ def _wall_arena():
 
 def test_emergency_flag_is_set_per_cycle():
     from primtrack.simulator import _Planner
-    planner = _Planner(_wall_arena(), SimParams(), "refiner", None)
+    planner = _Planner(_wall_arena(), SimParams())
     # inside the clearance threshold of the wall every trajectory brakes
     planner.plan(QuadState.hover([2.8, 0.0, 1.5]), [6.0, 0.0, 1.5],
                  "navigation")
@@ -357,7 +347,7 @@ def test_selection_skips_nan_candidates(monkeypatch):
         return raw, total, parts
 
     monkeypatch.setattr(simulator, "refine", nan_refine)
-    planner = simulator._Planner(_wall_arena(), SimParams(), "refiner", None)
+    planner = simulator._Planner(_wall_arena(), SimParams())
     state = replace(QuadState.hover([-1.0, 0.0, 1.5], yaw=np.pi),
                     velocity=np.array([-2.0, 0.0, 0.0]))
     goal = [-5.0, 0.0, 1.5]
@@ -371,6 +361,54 @@ def test_selection_skips_nan_candidates(monkeypatch):
     assert np.isnan(cost) and planner.emergency
     stop = simulator._braking_endpoint(state, planner.p)
     assert np.allclose(traj.sample(traj.horizon_T), stop[:, 0])
+
+
+class _StubHead:
+    """Fixed raw rows with a given cost output, in the head's 14 columns."""
+
+    def __init__(self, raw, scores):
+        self.raw, self.scores = raw, scores
+
+    def forward(self, features):
+        n = len(self.raw)
+        return np.column_stack([self.raw, self.scores, np.zeros((n, 4))])
+
+
+def test_head_flies_the_least_realized_cost(monkeypatch):
+    from primtrack import simulator
+    from primtrack.costs import CostEngine
+    n = LatticeConfig().n_cells
+    head = _StubHead(np.random.default_rng(3).normal(size=(n, 9)) * 0.5,
+                     np.zeros(n))
+    totals, poison, evaluate = [], [], CostEngine.evaluate
+
+    def spy(self, *a, **kw):  # evaluate, with the rows in poison NaN
+        total, *rest = evaluate(self, *a, **kw)
+        total = total.copy()
+        total[poison] = np.nan
+        totals.append(total)
+        return (total, *rest)
+
+    monkeypatch.setattr(CostEngine, "evaluate", spy)
+    planner = simulator._Planner(_wall_arena(), SimParams(), head)
+    state = replace(QuadState.hover([-1.0, 0.0, 1.5], yaw=np.pi),
+                    velocity=np.array([-2.0, 0.0, 0.0]))
+    goal = [-5.0, 0.0, 1.5]
+    planner.plan(state, goal, "tracking")
+    realized = totals[-1]
+    assert np.all(np.isfinite(realized)) and len(set(realized)) == n
+    # a cost output that ranks the rows backwards does not steer the pick
+    head.scores = -realized
+    _, cost, _ = planner.plan(state, goal, "tracking")
+    assert cost == realized.min()
+    # a NaN row is passed over for the least finite realized cost
+    poison[:] = [int(np.argmin(realized))]
+    _, cost, _ = planner.plan(state, goal, "tracking")
+    assert cost == np.sort(realized)[1]
+    # with no finite row the cycle brakes
+    poison[:] = list(range(n))
+    _, cost, _ = planner.plan(state, goal, "tracking")
+    assert np.isnan(cost) and planner.emergency
 
 
 def test_planning_cycle_evaluates_at_most_20_times(monkeypatch):
