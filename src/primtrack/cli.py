@@ -349,7 +349,8 @@ def load_frames(dataset: Path) -> list[dict]:
 
 def build_training_frames(cfg: RunConfig, records: list[dict],
                           seed: int = 0) -> list[dict]:
-    """Attach sampled states, features, engines, and labels to raw frames."""
+    """Attach sampled states, features, engines and, in tracking mode, the
+    positive cell (the `assignment`) to raw frames."""
     rng = np.random.default_rng(seed)
     lattice = cfg.lattice
     sim = cfg["simulator"]

@@ -44,8 +44,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "lambda_c": (1.0, f"collision weight; {_TRAIN_ONLY} (they use "
                      "[simulator] collision_weight) *"),
         "lambda_g": (1.0, "goal weight *"),
-        "lambda_1": (0.2, f"non-positive sample weight; {_TRAIN_ONLY} *"),
-        "lambda_2": (0.5, f"negative objectness weight; {_TRAIN_ONLY} *"),
+        "lambda_1": (0.2, "tracking weight of every cell but the target's; "
+                     f"{_TRAIN_ONLY} *"),
         "d_safe": (0.4, f"potential safety distance, meters; {_TRAIN_ONLY} *"),
         "falloff": (0.4, f"potential decay scale, meters; {_TRAIN_ONLY} *"),
         "cutoff": (2.0, f"potential cutoff distance, meters; {_TRAIN_ONLY} *"),
@@ -152,7 +152,7 @@ class RunConfig:
                 raise ValueError(f"unknown config section [{sec}]")
             for key, val in keys.items():
                 if key not in _SCHEMA[sec]:
-                    raise ValueError(f"unknown key {key!r} in section [{sec}]")
+                    raise ValueError(f"[{sec}] {key}: unknown key")
                 merged[sec][key] = val
         for (sec, key), words in _CHOICES.items():
             if merged[sec][key] not in words:
@@ -224,7 +224,7 @@ class RunConfig:
     def cost_weights(self) -> CostWeights:
         c = self["cost"]
         return CostWeights(c["lambda_s"], c["lambda_c"], c["lambda_g"],
-                           c["lambda_1"], c["lambda_2"])
+                           c["lambda_1"])
 
     def potential_params(self) -> PotentialParams:
         c = self["cost"]

@@ -39,21 +39,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights balancing the trajectory costs and the sample groups.
+    """Weights of the trajectory costs and of the training cells.
 
     lambda_s/c/g are tuned defaults sized for the desk-scale suite;
-    lambda_1 and lambda_2 balance non-positive and negative samples.
+    lambda_1 weights every cell but the target's in tracking training.
     """
 
     lambda_s: float = 0.1
     lambda_c: float = 1.0
     lambda_g: float = 1.0
     lambda_1: float = 0.2
-    lambda_2: float = 0.5
 
     def __post_init__(self):
         if min(self.lambda_s, self.lambda_c, self.lambda_g,
-               self.lambda_1, self.lambda_2) < 0:
+               self.lambda_1) < 0:
             raise ValueError("weights must be nonnegative")
 
 

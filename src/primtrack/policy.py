@@ -1,12 +1,12 @@
 """Trajectory-prediction backends and their training machinery.
 
-Two interchangeable backends produce per-anchor 14-dimensional predictions:
-
-* a per-frame L-BFGS refiner that optimizes the raw trajectory
-  variables directly against the cost engine (the classical path), and
-* a small shared-weight head over privileged per-frustum depth features,
-  trained by back-propagating the trajectory-cost gradients plus the
-  detection losses through the raw outputs.
+Two interchangeable backends produce per-anchor predictions: a per-frame
+L-BFGS refiner that optimizes the 9 raw trajectory variables against the
+cost engine, and a small shared-weight head over privileged per-frustum
+depth features whose 10 outputs are those variables and a predicted cost,
+trained by back-propagating the trajectory-cost gradients. The head predicts
+no objectness: its one target input, the target's distance, comes in flight
+from the filter's own estimate, which a detection output could only echo.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DS, CameraModel, anchor_to_cell, cell_to_anchor
+from .camera import CameraModel, cell_to_anchor
 from .costs import CostEngine, chain_rule_batch, smooth_l1, smooth_l1_grad
 from .environment import EsdfGrid, raycast
 from .primitives import LatticeConfig, build_library, spherical_endpoint
@@ -24,7 +24,6 @@ from .primitives import LatticeConfig, build_library, spherical_endpoint
 __all__ = [
     "FrustumFeatures",
     "PolicyHead",
-    "SampleAssignment",
     "StateSampler",
     "refine",
     "assign_samples",
@@ -37,12 +36,8 @@ __all__ = [
 ]
 
 FEATURE_DIM = 9
-OUTPUT_DIM = 14
+OUTPUT_DIM = 10  # 9 raw trajectory variables and the predicted cost
 TARGET_SENTINEL = -1.0
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, float)))
 
 
 # -- refiner backend ---------------------------------------------------------
@@ -187,6 +182,20 @@ def _cell_rotation(theta: float, phi: float) -> np.ndarray:
     return rz @ ry  # columns are the local axes in the camera frame
 
 
+def _target_cell(target_world, cam: CameraModel, cfg: LatticeConfig):
+    """(flat index of the cell that sees the target, camera-frame target),
+    or None with no target or one outside the frustum."""
+    if target_world is None:
+        return None
+    p_c = cam.world_to_camera(target_world)
+    if not cam.in_frustum(p_c):
+        return None
+    u, v, _ = cam.project_camera(p_c)
+    col, row = cam.pixel_to_cell(u, v)
+    i, j = cell_to_anchor(int(col), int(row), cfg)
+    return i * cfg.m_theta + j, p_c
+
+
 @dataclass(frozen=True)
 class FrustumFeatures:
     """Per-cell feature rows (n_cells, 9): min/mean frustum depth (scaled by
@@ -227,13 +236,9 @@ def compute_features(grid: EsdfGrid, cam: CameraModel, cfg: LatticeConfig,
     feats[:, 0] = first.min(axis=1) / cfg.r
     feats[:, 1] = first.mean(axis=1) / cfg.r
     feats[:, 2] = TARGET_SENTINEL
-    if target_world is not None:
-        p_c = cam.world_to_camera(target_world)
-        if cam.in_frustum(p_c):
-            u, v, _ = cam.project_camera(p_c)
-            col, row = cam.pixel_to_cell(u, v)
-            i, j = cell_to_anchor(int(col), int(row), cfg)
-            feats[i * cfg.m_theta + j, 2] = np.linalg.norm(p_c) / cfg.r
+    seen = _target_cell(target_world, cam, cfg)
+    if seen is not None:
+        feats[seen[0], 2] = np.linalg.norm(seen[1]) / cfg.r
     for k, (theta, phi) in enumerate(zip(thetas, phis)):
         R = _cell_rotation(theta, phi)
         feats[k, 3:6] = v_n @ R
@@ -245,7 +250,7 @@ def compute_features(grid: EsdfGrid, cam: CameraModel, cfg: LatticeConfig,
 
 @dataclass
 class PolicyHead:
-    """Shared-weight fully connected map from features to the 14 outputs.
+    """Shared-weight fully connected map from features to the 10 outputs.
 
     Equivalent to 1x1 convolutions over the grid: the identical parameters
     are applied to every cell row independently.
@@ -257,11 +262,14 @@ class PolicyHead:
     @classmethod
     def create(cls, hidden=(64, 64), seed: int = 0) -> "PolicyHead":
         rng = np.random.default_rng(seed)
-        sizes = [FEATURE_DIM, *hidden, OUTPUT_DIM]
+        # the output layer is drawn 14 wide, as when the head had 4 detection
+        # outputs, so a seed keeps its weights: only training seed 0 flies
+        sizes = [FEATURE_DIM, *hidden, 14]
         ws, bs = [], []
         for a, b in zip(sizes[:-1], sizes[1:]):
             ws.append(rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)))
             bs.append(np.zeros(b))
+        ws[-1], bs[-1] = ws[-1][:, :OUTPUT_DIM].copy(), bs[-1][:OUTPUT_DIM]
         return cls(ws, bs)
 
     @property
@@ -270,7 +278,7 @@ class PolicyHead:
 
     def forward(self, features: np.ndarray,
                 keep_cache: bool = False):
-        """Outputs (n_cells, 14); optionally returns the activation cache."""
+        """Outputs (n_cells, 10); optionally returns the activation cache."""
         x = np.atleast_2d(np.asarray(features, float))
         if x.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
@@ -368,45 +376,21 @@ def load_head(path) -> PolicyHead:
     return PolicyHead(ws, bs)
 
 
-# -- detection labels ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SampleAssignment:
-    """Per-cell labels in anchor flat order: at most one is "positive"."""
-
-    labels: tuple[str, ...]
-
+# -- the positive cell ------------------------------------------------------------
 
 _LABEL_OCCUPANCY = 0.1  # the target is occluded where the field falls below
 
 
 def assign_samples(target_world, cam: CameraModel, cfg: LatticeConfig,
-                   grid: EsdfGrid) -> SampleAssignment:
-    """Positive / negative / ignored labels per grid cell.
-
-    No target, target outside the frustum (at any depth), or target occluded
-    on the privileged map: every cell is negative. Otherwise the containing
-    cell is positive, its Chebyshev-1 ring is ignored, and the rest are
-    negative.
-    """
-    all_negative = SampleAssignment(("negative",) * cfg.n_cells)
-    if target_world is None:
-        return all_negative
-    p_c = cam.world_to_camera(target_world)
-    if not cam.in_frustum(p_c):
-        return all_negative
-    if not raycast(grid, cam.position, target_world, _LABEL_OCCUPANCY):
-        return all_negative
-    u, v, _ = cam.project_camera(p_c)
-    col, row = cam.pixel_to_cell(u, v)
-    i0, j0 = cell_to_anchor(int(col), int(row), cfg)
-    labels = []
-    for i in range(cfg.m_phi):
-        for j in range(cfg.m_theta):
-            cheb = max(abs(i - i0), abs(j - j0))
-            labels.append("positive" if cheb == 0 else
-                          "ignored" if cheb == 1 else "negative")
-    return SampleAssignment(tuple(labels))
+                   grid: EsdfGrid) -> int | None:
+    """Flat index of the cell that sees the target, or None when there is no
+    target or it is outside the frustum (at any depth) or occluded on the
+    privileged map."""
+    seen = _target_cell(target_world, cam, cfg)
+    if seen is None or not raycast(grid, cam.position, target_world,
+                                   _LABEL_OCCUPANCY):
+        return None
+    return seen[0]
 
 
 # -- training-state sampling ----------------------------------------------------
@@ -454,13 +438,19 @@ def sample_training_state(sampler: StateSampler, rng: np.random.Generator,
 # -- end-to-end training step ----------------------------------------------------
 
 def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
-                        cam: CameraModel, assignment: SampleAssignment | None,
+                        cam: CameraModel, assignment: int | None,
                         target_world=None, mode: str = "tracking"):
-    """Total per-frame loss and its gradient w.r.t. the raw outputs y (n, 14).
+    """Per-frame loss and its gradient w.r.t. the raw outputs y (n, 10).
 
-    Trajectory-cost gradients flow through the analytic chain rule; the
-    supervision target for the predicted cost is treated as a constant. The
-    cost terms and their end-state gradients come from one field query.
+    Each cell pays its weighted trajectory cost and a smooth-L1 loss of its
+    predicted cost y[:, 9] against the realized one. Navigation weighs every
+    cell 1 and adds the goal term to cost and target; tracking weighs the
+    positive cell (`assignment`) 1 with the goal term, the rest lambda_1.
+    The target is not held constant: the trajectory gradient is scaled by
+    1 - smooth_l1'(residual), 0 on a row that overshoots it by more than 1
+    and 2 on one that undershoots by more. One field query serves it all.
+    Columns past the tenth get zero gradient; cam and target_world are
+    not read.
     """
     w = engine.weights
     n = cfg.n_cells
@@ -468,74 +458,26 @@ def frame_loss_and_grad(y: np.ndarray, engine: CostEngine, cfg: LatticeConfig,
     raw = y[:, :9]
     parts, (g_s, g_c, g_goal) = engine.evaluate_terms(raw)
     J_s, J_c, J_g = parts["J_s"], parts["J_c"], parts["J_g"]
-
+    traj_cost = w.lambda_s * J_s + w.lambda_c * J_c
     if mode == "navigation":
         traj_w = np.ones(n)
         goal_on = np.ones(n, bool)
-        labels = ["positive"] * n
+        y_c_hat = traj_cost + w.lambda_g * J_g
     else:
-        labels = list(assignment.labels)
-        traj_w = np.array([1.0 if l == "positive" else w.lambda_1
-                           for l in labels])
-        goal_on = np.array([l == "positive" for l in labels])
-
-    y_c_hat = w.lambda_s * J_s + w.lambda_c * J_c
-    if mode == "navigation":
-        y_c_hat = y_c_hat + w.lambda_g * J_g
+        goal_on = np.arange(n) == assignment  # all False when it is None
+        traj_w = np.where(goal_on, 1.0, w.lambda_1)
+        y_c_hat = traj_cost
     resid = y[:, 9] - y_c_hat
-    l_cost = smooth_l1(resid)
-    # the supervision target depends on the same raw variables, so its
-    # sensitivity flows back into the trajectory-variable gradient too
     coef = traj_w * (1.0 - smooth_l1_grad(resid))
     grad_dP = coef[:, None, None] * (w.lambda_s * g_s + w.lambda_c * g_c)
-    goal_coef = np.where(goal_on, 1.0, 0.0)
-    if mode == "navigation":
-        goal_coef = coef
+    goal_coef = coef if mode == "navigation" else goal_on.astype(float)
     grad_dP[:, :, 0] += (w.lambda_g * goal_coef)[:, None] * g_goal
-    dLdy = np.zeros((n, OUTPUT_DIM))
+    dLdy = np.zeros_like(y)
     dLdy[:, :9] = chain_rule_batch(grad_dP, raw, cfg, engine.alpha,
                                    engine.v_max, engine.a_max, engine.rotation)
     dLdy[:, 9] = traj_w * smooth_l1_grad(resid)
-
-    traj_cost = w.lambda_s * J_s + w.lambda_c * J_c
-    loss = float(np.sum(traj_w * (traj_cost + l_cost))
+    loss = float(np.sum(traj_w * (traj_cost + smooth_l1(resid)))
                  + np.sum(w.lambda_g * J_g[goal_on]))
-
-    if mode == "navigation":
-        return loss, dLdy
-
-    # detection terms
-    p_obj = np.clip(_sigmoid(y[:, 10]), 1e-12, 1 - 1e-12)
-    target_cam = cam.world_to_camera(target_world) if target_world is not None else None
-    for k, label in enumerate(labels):
-        if label == "negative":
-            loss += w.lambda_2 * float(-np.log(1 - p_obj[k]))
-            dLdy[k, 10] = w.lambda_2 * p_obj[k]
-        elif label == "positive":
-            loss += float(-np.log(p_obj[k]))
-            dLdy[k, 10] = p_obj[k] - 1.0
-            i, j = divmod(k, cfg.m_theta)
-            col, row = anchor_to_cell(i, j, cfg)
-            sig_u, sig_v = _sigmoid(y[k, 11]), _sigmoid(y[k, 12])
-            u = (sig_u + col) * DS
-            v = (sig_v + row) * DS
-            y_d = y[k, 13]
-            p_c = cam.unproject_camera(u, v, y_d)
-            resid_t = p_c - target_cam
-            loss += float(np.sum(smooth_l1(resid_t)))
-            g_pc = smooth_l1_grad(resid_t)  # (3,) camera frame
-            # p_c = y_d * dir(u, v); derivatives via the optical-frame pinhole
-            x_o = (u - cam.cx) / cam.fx
-            y_o = (v - cam.cy) / cam.fy
-            # camera frame: (x, y, z) = (y_d, -x_o*y_d, -y_o*y_d)
-            dp_du = np.array([0.0, -y_d / cam.fx, 0.0])
-            dp_dv = np.array([0.0, 0.0, -y_d / cam.fy])
-            dp_dd = np.array([1.0, -x_o, -y_o])
-            du_dyu = sig_u * (1 - sig_u) * DS
-            dv_dyv = sig_v * (1 - sig_v) * DS
-            dLdy[k, 11] = float(g_pc @ dp_du) * du_dyu
-            dLdy[k, 12] = float(g_pc @ dp_dv) * dv_dyv
-            dLdy[k, 13] = float(g_pc @ dp_dd)
     return loss, dLdy
 
 
@@ -543,16 +485,14 @@ def backward_and_step(head: PolicyHead, frames: list[dict],
                       optimizer: HeadOptimizer) -> float:
     """One optimizer step over a batch of frames; returns the mean loss.
 
-    Each frame dict carries: features (FrustumFeatures or array), engine
+    Each frame dict carries: features (FrustumFeatures), engine
     (CostEngine), cfg, cam, assignment, target_world, mode.
     """
     acc_w = [np.zeros_like(w) for w in head.weights]
     acc_b = [np.zeros_like(b) for b in head.biases]
     total = 0.0
     for fr in frames:
-        feats = fr["features"]
-        feats = feats.values if isinstance(feats, FrustumFeatures) else feats
-        y, cache = head.forward(feats, keep_cache=True)
+        y, cache = head.forward(fr["features"].values, keep_cache=True)
         loss, dLdy = frame_loss_and_grad(
             y, fr["engine"], fr["cfg"], fr["cam"], fr.get("assignment"),
             fr.get("target_world"), fr.get("mode", "tracking"))

@@ -597,7 +597,13 @@ class _Planner:
             feats = compute_features(self.arena.grid, cam, p.lattice, v_n,
                                      a_n, target_world=target_world)
             raw = self.head.forward(feats.values)[:, :9]
-            total, _, _ = engine.evaluate(raw, with_grad=False)
+            # a row with a non-finite entry is infeasible: it keeps a NaN
+            # total and never reaches the field query
+            ok = np.flatnonzero(np.isfinite(raw).all(axis=1))
+            total = np.full(len(raw), np.nan)
+            if len(ok):
+                total[ok] = engine.evaluate(raw[ok], with_grad=False,
+                                            idx=ok)[0]
         # a NaN marks an infeasible candidate: choose among the finite rows,
         # and brake when there is none
         finite = np.isfinite(total)

@@ -38,7 +38,7 @@ def test_misspelt_train_mode_exits_2(tmp_path, capsys):
     ("train", "hidden", "64 x"), ("train", "hidden", "64 0"),
     ("train", "optimizer", "adamm"),
     ("lattice", "m_phi", "0"), ("lattice", "fov_h_deg", "130"),
-    ("train", "epochs", "many")])
+    ("train", "epochs", "many"), ("cost", "lambda_2", "0.5")])
 def test_bad_config_value_exits_2_naming_the_key(section, key, value,
                                                  tmp_path, capsys):
     bad = tmp_path / "bad.ini"
@@ -52,8 +52,7 @@ def test_bad_config_value_exits_2_naming_the_key(section, key, value,
 
 # [cost] keys that only training reads: flights take lambda_c from
 # [simulator] collision_weight and use the default potential
-_TRAIN_ONLY = ("lambda_c", "lambda_1", "lambda_2", "d_safe", "falloff",
-               "cutoff")
+_TRAIN_ONLY = ("lambda_c", "lambda_1", "d_safe", "falloff", "cutoff")
 
 
 def _nav_log(tmp_path, name, cost_line=""):
@@ -207,6 +206,47 @@ def test_run_nav_flies_a_trained_head(tmp_path, monkeypatch, capsys):
     metrics = (nav / "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("seed,success") and len(metrics) == 2
     assert len(calls) >= 10  # one forward pass per planning cycle
+
+
+def test_checkpoint_with_14_outputs_loads_flies_and_resumes(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # a head saved when it also had 4 detection outputs
+    from primtrack.policy import PolicyHead, load_head, save_head
+    rng = np.random.default_rng(0)
+    sizes = [9, 16, 14]
+    old = PolicyHead([rng.normal(0.0, 0.3, (a, b))
+                      for a, b in zip(sizes[:-1], sizes[1:])],
+                     [np.zeros(b) for b in sizes[1:]])
+    save_head(tmp_path / "old.bin", old)
+    assert load_head(tmp_path / "old.bin").layer_sizes == sizes
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[run]\nseeds = 0\n[simulator]\nmax_time = 0.5\n"
+                        "[train]\nframes = 6\nepochs = 2\nobstacles = 2\n"
+                        "mode = tracking\n")
+    widths, forward = [], PolicyHead.forward
+    monkeypatch.setattr(PolicyHead, "forward", lambda self, x, **kw: (
+        widths.append(self.layer_sizes[-1]) or forward(self, x, **kw)))
+    nav = tmp_path / "nav"
+    assert main(["run-nav", "--config", str(cfg_path), "--out", str(nav),
+                 "--head", str(tmp_path / "old.bin")]) == 0
+    assert len(widths) >= 10 and set(widths) == {14}
+    assert len((nav / "metrics.csv").read_text().splitlines()) == 2
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["make-dataset", "--config", str(cfg_path),
+                 "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                 "--out", str(run), "--resume", str(tmp_path / "old.bin")]) \
+        == 0
+    resumed = load_head(run / "head.bin")
+    assert resumed.layer_sizes == sizes
+    # training moved the kept outputs and left the 4 extra ones alone
+    assert not np.allclose(resumed.weights[-1][:, :10], old.weights[-1][:, :10],
+                           atol=1e-6)
+    assert np.allclose(resumed.weights[-1][:, 10:], old.weights[-1][:, 10:],
+                       atol=1e-6)
+    curve = np.loadtxt(run / "loss_curve.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(curve[:, 1]))
 
 
 def test_tracking_batch_smoke(tmp_path, capsys):

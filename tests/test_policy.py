@@ -1,20 +1,22 @@
-"""Refiner descent, the prediction head, labels, losses, state sampling."""
+"""Refiner descent, the prediction head, the positive cell, losses, state
+sampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primtrack.camera import DS, CameraModel, anchor_to_cell
+from primtrack.camera import CameraModel
 from primtrack.costs import (CostEngine, CostWeights, chain_rule_batch,
                              collision, smooth_l1, smooth_l1_grad,
                              smoothness)
 from primtrack.environment import PointCloud, build_esdf
-from primtrack.policy import (FrustumFeatures, HeadOptimizer, PolicyHead,
-                              StateSampler, assign_samples, backward_and_step,
-                              compute_features, frame_loss_and_grad,
-                              load_head, refine, sample_training_state,
-                              save_head)
-from primtrack.primitives import LatticeConfig
+from primtrack.policy import (OUTPUT_DIM, FrustumFeatures, HeadOptimizer,
+                              PolicyHead, StateSampler, assign_samples,
+                              backward_and_step, compute_features,
+                              frame_loss_and_grad, load_head, refine,
+                              sample_training_state, save_head)
+from primtrack.primitives import (LatticeConfig, build_library,
+                                  spherical_endpoint)
 from primtrack.simulator import empty_arena
 
 _FREE_SPACE = empty_arena().grid  # obstacle-free: saturated at truncation
@@ -123,7 +125,7 @@ def test_head_backward_matches_finite_differences():
     head = PolicyHead.create(hidden=(6,), seed=5)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 9))
-    C = rng.normal(size=(5, 14))  # loss = sum(C * y), so dL/dy = C
+    C = rng.normal(size=(5, OUTPUT_DIM))  # loss = sum(C * y): dL/dy = C
 
     def loss():
         return float(np.sum(C * head.forward(x)))
@@ -158,10 +160,22 @@ def test_head_save_load_round_trip(tmp_path):
         load_head(tmp_path / "bad.bin")
 
 
+def test_head_create_keeps_the_14_wide_output_draw():
+    # a seed draws the weights it drew when the head had 14 outputs
+    head = PolicyHead.create(hidden=(8,), seed=2)
+    rng = np.random.default_rng(2)
+    w0 = rng.normal(0.0, np.sqrt(2.0 / 9), size=(9, 8))
+    w1 = rng.normal(0.0, np.sqrt(2.0 / 8), size=(8, 14))
+    assert head.layer_sizes == [9, 8, OUTPUT_DIM]
+    assert np.array_equal(head.weights[0], w0)
+    assert np.array_equal(head.weights[1], w1[:, :OUTPUT_DIM])
+    assert np.all(head.biases[1] == 0.0)
+
+
 def test_optimizer_methods_descend():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 9))
-    y_t = rng.normal(size=(20, 14))
+    y_t = rng.normal(size=(20, OUTPUT_DIM))
     for method in ("sgd", "momentum", "adam"):
         head = PolicyHead.create(hidden=(16,), seed=10)
         opt = HeadOptimizer(learning_rate=1e-3, method=method)
@@ -216,27 +230,30 @@ def test_compute_features_state_rows_rotate_per_cell():
     assert not np.allclose(feats[0, 3:6], feats[14, 3:6])
 
 
-# -- detection labels -----------------------------------------------------------------
+# -- the positive cell ----------------------------------------------------------------
 
 def test_assign_samples_geometry():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
     target = np.array([4.0, 0.0, 0.0])  # optical axis: the center cell
-    asg = assign_samples(target, cam, cfg, _FREE_SPACE)
-    assert asg.labels.count("positive") == 1
-    assert asg.labels[7] == "positive"
-    ring = [k for k, l in enumerate(asg.labels) if l == "ignored"]
-    assert len(ring) == 8  # full Chebyshev-1 ring around the center
-    assert asg.labels.count("negative") == cfg.n_cells - 9
+    assert assign_samples(target, cam, cfg, _FREE_SPACE) == 7
+    # the target feature marks the same cell
+    feats = compute_features(_FREE_SPACE, cam, cfg, np.zeros(3), np.zeros(3),
+                             target_world=target).values
+    assert np.flatnonzero(feats[:, 2] != -1.0).tolist() == [7]
+    # off axis, it is the cell whose anchor points nearest the target
+    dirs = spherical_endpoint(*build_library(cfg), 1.0)
+    for target in ([4.0, 2.5, 1.0], [4.0, -2.5, -1.0], [4.0, 0.0, 1.0]):
+        bearing = np.array(target) / np.linalg.norm(target)
+        assert assign_samples(np.array(target), cam, cfg, _FREE_SPACE) \
+            == np.argmax(dirs @ bearing)
 
 
 def test_assign_samples_no_target_or_hidden():
     cfg = LatticeConfig()
     cam = CameraModel.for_lattice(cfg)
     for tgt in (None, np.array([-4.0, 0.0, 0.0])):
-        asg = assign_samples(tgt, cam, cfg, _FREE_SPACE)
-        assert "positive" not in asg.labels
-        assert set(asg.labels) == {"negative"}
+        assert assign_samples(tgt, cam, cfg, _FREE_SPACE) is None
     # occluded behind a solid slab on the privileged map
     cam = cam.with_pose(np.eye(3), np.array([0.0, 0.0, 1.5]))
     slab = np.stack(np.meshgrid(np.arange(2.8, 3.21, 0.05),
@@ -245,8 +262,8 @@ def test_assign_samples_no_target_or_hidden():
                     axis=-1).reshape(-1, 3)
     grid = build_esdf(PointCloud(slab), (-2, -5, -0.5), (40, 40, 20), 0.25)
     target = np.array([4.5, 0.0, 1.5])
-    assert "positive" in assign_samples(target, cam, cfg, _FREE_SPACE).labels
-    assert "positive" not in assign_samples(target, cam, cfg, grid).labels
+    assert assign_samples(target, cam, cfg, _FREE_SPACE) == 7
+    assert assign_samples(target, cam, cfg, grid) is None
 
 
 # -- state sampling -----------------------------------------------------------------
@@ -308,28 +325,30 @@ def test_frame_loss_grad_matches_finite_differences():
                                                  np.array([0.0, 0.0, 1.5]))
     target = np.array([4.0, 0.3, 1.6])
     eng = _engine(_FREE_SPACE, target, use_kernel=False)
-    asg = assign_samples(target, cam, cfg, _FREE_SPACE)
+    positive = assign_samples(target, cam, cfg, _FREE_SPACE)
+    assert positive == 7
     rng = np.random.default_rng(13)
-    y = rng.normal(size=(15, 14)) * 0.5
-    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
+    y = rng.normal(size=(15, OUTPUT_DIM)) * 0.5
+    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, positive,
                                      target_world=target, mode="tracking")
     h = 1e-6
-    for k in (asg.labels.index("positive"), 0, 14):
-        for d in range(14):
+    # the positive cell, and two cells weighted by lambda_1
+    for k in (positive, 0, 14):
+        for d in range(OUTPUT_DIM):
             yp, ym = y.copy(), y.copy()
             yp[k, d] += h
             ym[k, d] -= h
-            fp, _ = frame_loss_and_grad(yp, eng, cfg, cam, asg,
+            fp, _ = frame_loss_and_grad(yp, eng, cfg, cam, positive,
                                         target_world=target, mode="tracking")
-            fm, _ = frame_loss_and_grad(ym, eng, cfg, cam, asg,
+            fm, _ = frame_loss_and_grad(ym, eng, cfg, cam, positive,
                                         target_world=target, mode="tracking")
             assert np.isclose(dLdy[k, d], (fp - fm) / (2 * h),
                               rtol=1e-4, atol=1e-6)
 
 
-def _composable_frame_loss(y, engine, cfg, assignment, mode):
-    """Trajectory part of the frame loss, assembled here from the cost term
-    functions and the chain rule: (loss, dL/dy[:, :10])."""
+def _composable_frame_loss(y, engine, cfg, positive, mode):
+    """The frame loss, assembled here from the cost term functions and the
+    chain rule: (loss, dL/dy[:, :10])."""
     w = engine.weights
     raw = y[:, :9]
     d_P = engine.decode(raw)
@@ -338,14 +357,13 @@ def _composable_frame_loss(y, engine, cfg, assignment, mode):
     J_c, g_c = collision(d, engine.horizon_T, engine.grid, engine.potential)
     diff = d_P[:, :, 0] - engine.goal_p
     J_g, g_goal = np.sum(diff * diff, axis=1), 2.0 * diff
+    cells = np.arange(len(y))
     if mode == "navigation":
         traj_w = np.ones(len(y))
         goal_on = np.ones(len(y), bool)
     else:
-        labels = assignment.labels
-        traj_w = np.array([1.0 if l == "positive" else w.lambda_1
-                           for l in labels])
-        goal_on = np.array([l == "positive" for l in labels])
+        traj_w = np.where(cells == positive, 1.0, w.lambda_1)
+        goal_on = cells == positive
     y_c_hat = w.lambda_s * J_s + w.lambda_c * J_c
     if mode == "navigation":
         y_c_hat = y_c_hat + w.lambda_g * J_g
@@ -365,95 +383,6 @@ def _composable_frame_loss(y, engine, cfg, assignment, mode):
     return float(loss), dLdy
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _decoded_pixel(y_k, cell, cam):
-    """Pixel of a cell's target detection: sigmoid offsets within the cell."""
-    col, row = cell
-    return ((_sigmoid(y_k[11]) + col) * DS,
-            (_sigmoid(y_k[12]) + row) * DS)
-
-
-def _detection_loss(y_k, label, target_cam, cam, cell, weights):
-    """Detection terms of one cell's outputs: objectness cross-entropy,
-    weighted by lambda_2 on negative cells, plus a smooth-L1 on the
-    camera-frame target on the positive cell; nothing on ignored cells."""
-    p = _sigmoid(y_k[10])
-    if label == "negative":
-        return weights.lambda_2 * -np.log(1.0 - p)
-    if label == "ignored":
-        return 0.0
-    u, v = _decoded_pixel(y_k, cell, cam)
-    p_c = cam.unproject_camera(u, v, y_k[13])
-    return -np.log(p) + float(np.sum(smooth_l1(p_c - target_cam)))
-
-
-def _tracking_frame(cfg):
-    cam = CameraModel.for_lattice(cfg).with_pose(np.eye(3),
-                                                 np.array([0.0, 0.0, 1.5]))
-    target = np.array([4.0, 0.3, 1.6])
-    eng = _engine(_obstacle_grid(), target, use_kernel=False)
-    return cam, target, eng, assign_samples(target, cam, cfg, _FREE_SPACE)
-
-
-def _cell(k, cfg):
-    return anchor_to_cell(*divmod(k, cfg.m_theta), cfg)
-
-
-def test_detection_losses_match_duplicate_formula():
-    cfg = LatticeConfig()
-    cam, target, eng, asg = _tracking_frame(cfg)
-    target_cam = cam.world_to_camera(target)
-    y = np.random.default_rng(17).normal(size=(15, 14)) * 0.5
-    y[:, 13] += 4.0  # depths near the target's
-    loss, _ = frame_loss_and_grad(y, eng, cfg, cam, asg, target_world=target)
-    terms = [_detection_loss(y[k], label, target_cam, cam, _cell(k, cfg),
-                             eng.weights)
-             for k, label in enumerate(asg.labels)]
-    # the trajectory part of the loss depends on y[:, :10] only
-    traj, _ = _composable_frame_loss(y, eng, cfg, asg, "tracking")
-    assert np.isclose(loss - traj, sum(terms), rtol=1e-10)
-    # one cell of each label, its detection outputs changed alone
-    for label in ("positive", "negative", "ignored"):
-        k = asg.labels.index(label)
-        y2 = y.copy()
-        y2[k, 10:] = [-1.3, 0.8, -0.4, 2.5]
-        loss2, _ = frame_loss_and_grad(y2, eng, cfg, cam, asg,
-                                       target_world=target)
-        new = _detection_loss(y2[k], label, target_cam, cam, _cell(k, cfg),
-                              eng.weights)
-        assert np.isclose(loss2 - loss, new - terms[k], rtol=1e-9,
-                          atol=1e-9), label
-
-
-def test_decode_target_pixel_inside_cell():
-    cfg = LatticeConfig()
-    cam, target, eng, asg = _tracking_frame(cfg)
-    for logits in ((0.3, -2.0), (-8.0, 8.0), (8.0, -8.0)):
-        u, v = _decoded_pixel(np.r_[np.zeros(11), logits, 3.0], (2, 1), cam)
-        assert 2 * DS < u < 3 * DS
-        assert 1 * DS < v < 2 * DS
-    # logits and depth that decode to the target's own pixel, inside the
-    # positive cell: the loss keeps only the objectness terms at p = 1/2
-    k = asg.labels.index("positive")
-    col, row = _cell(k, cfg)
-    u, v, depth = cam.project_world(target)
-    frac = np.array([u / DS - col, v / DS - row])
-    assert np.all((frac > 0.0) & (frac < 1.0))
-    y = np.zeros((15, 14))
-    y[k, 11:13] = np.log(frac / (1.0 - frac))
-    y[k, 13] = depth
-    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
-                                     target_world=target)
-    traj, _ = _composable_frame_loss(y, eng, cfg, asg, "tracking")
-    n_neg = asg.labels.count("negative")
-    obj = (1.0 + eng.weights.lambda_2 * n_neg) * np.log(2.0)
-    assert np.isclose(loss - traj, obj, rtol=1e-9)
-    assert np.allclose(dLdy[k, 11:], 0.0, atol=1e-9)
-
-
 @pytest.mark.parametrize("mode", ["navigation", "tracking"])
 def test_frame_loss_one_query_matches_composable_path(mode):
     cfg = LatticeConfig()
@@ -461,26 +390,30 @@ def test_frame_loss_one_query_matches_composable_path(mode):
                                                  np.array([0.0, 0.0, 1.5]))
     target = np.array([4.0, 0.3, 1.6])
     eng = _engine(_obstacle_grid(), target, use_kernel=False, mode=mode)
-    asg = assign_samples(target, cam, cfg, _FREE_SPACE) \
+    positive = assign_samples(target, cam, cfg, _FREE_SPACE) \
         if mode == "tracking" else None
-    y = np.random.default_rng(16).normal(size=(15, 14)) * 0.5
-    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, asg,
+    y = np.random.default_rng(16).normal(size=(15, OUTPUT_DIM)) * 0.5
+    loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, positive,
                                      target_world=target, mode=mode)
-    ref_loss, ref_grad = _composable_frame_loss(y, eng, cfg, asg, mode)
+    ref_loss, ref_grad = _composable_frame_loss(y, eng, cfg, positive, mode)
     # collision terms must be active for the comparison to mean anything
     assert np.any(eng.evaluate(y[:, :9], with_grad=False)[1]["J_c"] > 1e-3)
-    assert np.allclose(dLdy[:, :10], ref_grad, rtol=1e-10, atol=1e-12)
-    if mode == "navigation":
+    assert np.allclose(dLdy, ref_grad, rtol=1e-12, atol=1e-12)
+    assert np.isclose(loss, ref_loss, rtol=1e-12)
+    # a head saved with 4 more outputs: the same loss, and no gradient into
+    # the extra columns
+    wide = np.column_stack([y, np.random.default_rng(17).normal(size=(15, 4))])
+    loss14, dLdy14 = frame_loss_and_grad(wide, eng, cfg, cam, positive,
+                                         target_world=target, mode=mode)
+    assert loss14 == loss and dLdy14.shape == wide.shape
+    assert np.array_equal(dLdy14[:, :OUTPUT_DIM], dLdy)
+    assert np.all(dLdy14[:, OUTPUT_DIM:] == 0.0)
+    if mode == "tracking":  # no positive cell: every cell weighs lambda_1
+        loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, None,
+                                         target_world=None, mode=mode)
+        ref_loss, ref_grad = _composable_frame_loss(y, eng, cfg, None, mode)
+        assert np.allclose(dLdy, ref_grad, rtol=1e-12, atol=1e-12)
         assert np.isclose(loss, ref_loss, rtol=1e-12)
-    else:
-        # the oracle leaves out the detection terms, which depend on
-        # y[:, 10:] only: compare loss differences at fixed detection slots
-        y2 = y.copy()
-        y2[:, :10] *= -0.5
-        loss2, _ = frame_loss_and_grad(y2, eng, cfg, cam, asg,
-                                       target_world=target, mode=mode)
-        ref2, _ = _composable_frame_loss(y2, eng, cfg, asg, mode)
-        assert np.isclose(loss - loss2, ref_loss - ref2, rtol=1e-10)
 
 
 def test_frame_loss_grad_navigation_mode():
@@ -489,12 +422,10 @@ def test_frame_loss_grad_navigation_mode():
     eng = _engine(_FREE_SPACE, np.array([10.0, 0.0, 1.5]), use_kernel=False,
                   mode="navigation")
     rng = np.random.default_rng(14)
-    y = rng.normal(size=(15, 14)) * 0.5
+    y = rng.normal(size=(15, OUTPUT_DIM)) * 0.5
     loss, dLdy = frame_loss_and_grad(y, eng, cfg, cam, None,
                                      mode="navigation")
     assert np.isfinite(loss)
-    # detection slots carry no gradient without detection supervision
-    assert np.all(dLdy[:, 10:] == 0.0)
     h = 1e-6
     for d in (0, 5, 9):
         yp, ym = y.copy(), y.copy()

@@ -364,14 +364,13 @@ def test_selection_skips_nan_candidates(monkeypatch):
 
 
 class _StubHead:
-    """Fixed raw rows with a given cost output, in the head's 14 columns."""
+    """Fixed raw rows with a given cost output, in the head's 10 columns."""
 
     def __init__(self, raw, scores):
         self.raw, self.scores = raw, scores
 
     def forward(self, features):
-        n = len(self.raw)
-        return np.column_stack([self.raw, self.scores, np.zeros((n, 4))])
+        return np.column_stack([self.raw, self.scores])
 
 
 def test_head_flies_the_least_realized_cost(monkeypatch):
@@ -380,14 +379,12 @@ def test_head_flies_the_least_realized_cost(monkeypatch):
     n = LatticeConfig().n_cells
     head = _StubHead(np.random.default_rng(3).normal(size=(n, 9)) * 0.5,
                      np.zeros(n))
-    totals, poison, evaluate = [], [], CostEngine.evaluate
+    totals, evaluate = [], CostEngine.evaluate
 
-    def spy(self, *a, **kw):  # evaluate, with the rows in poison NaN
-        total, *rest = evaluate(self, *a, **kw)
-        total = total.copy()
-        total[poison] = np.nan
-        totals.append(total)
-        return (total, *rest)
+    def spy(self, *a, **kw):  # evaluate, keeping each call's totals
+        out = evaluate(self, *a, **kw)
+        totals.append(out[0])
+        return out
 
     monkeypatch.setattr(CostEngine, "evaluate", spy)
     planner = simulator._Planner(_wall_arena(), SimParams(), head)
@@ -401,14 +398,17 @@ def test_head_flies_the_least_realized_cost(monkeypatch):
     head.scores = -realized
     _, cost, _ = planner.plan(state, goal, "tracking")
     assert cost == realized.min()
-    # a NaN row is passed over for the least finite realized cost
-    poison[:] = [int(np.argmin(realized))]
+    # a NaN raw row is never scored, and is passed over for the least
+    # finite realized cost
+    head.raw[np.argmin(realized), 4] = np.nan
     _, cost, _ = planner.plan(state, goal, "tracking")
+    assert len(totals[-1]) == n - 1
     assert cost == np.sort(realized)[1]
     # with no finite row the cycle brakes
-    poison[:] = list(range(n))
+    head.raw[:] = np.nan
+    calls = len(totals)
     _, cost, _ = planner.plan(state, goal, "tracking")
-    assert np.isnan(cost) and planner.emergency
+    assert np.isnan(cost) and planner.emergency and len(totals) == calls
 
 
 def test_planning_cycle_evaluates_at_most_20_times(monkeypatch):
